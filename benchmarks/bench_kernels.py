@@ -15,8 +15,10 @@ outputs while it measures:
   back to the reference loop by design;
 * **SPT re-settle** — Ramalingam–Reps repair vs. the boundary-offer
   loop, on hub failures with large affected subtrees;
-* **flat ILM decomposition** — the accelerated DP vs. the forward
-  reference DP on long concatenation chains.
+* **flat ILM decomposition** — one batched ``decompose_flat`` call
+  over a real two-link scenario's decomposition-memo misses on the
+  weighted ISP (the call per-link ILM accounting makes once per
+  scenario) vs. the reference loop.
 
 Emits ``results/BENCH_kernels.json`` in the established BENCH schema
 (per-section timings, per-backend speedup ratios, the work-counter
@@ -196,55 +198,68 @@ def _repair_section(results, graph, repeat):
         )
 
 
-def _decompose_entry(name, mod):
-    return mod._decompose_flat_vec if name == "numpy" else mod.decompose_flat
+def _scenario_miss_set(graph, seed):
+    """``(q, d, offsets, rows)`` exactly as per-link ILM accounting hands
+    them to ``decompose_flat`` for one two-link failure scenario.
+
+    Scenarios come from Table 2's own construction (sampled pairs, their
+    two-link failure cases).  The first one that disturbs a demand meets
+    an empty decomposition memo, so its whole backup set is the miss
+    batch.  The batch is recorded off the reference backend while the
+    accountant runs, then replayed against the other backends.
+    """
+    from repro.core.cache import shared_unique_base
+    from repro.experiments.ilm_accounting import IlmAccountant
+    from repro.experiments.table2 import ilm_scenarios
+    from repro.failures.sampler import sample_pairs
+    from repro.kernels import set_backend
+
+    reference = pyk.decompose_flat
+    captured = []
+
+    def record(q, d, offsets, rows):
+        captured.append((q, d, offsets, rows))
+        return reference(q, d, offsets, rows)
+
+    base = shared_unique_base(graph)
+    pairs = sample_pairs(graph, 40, seed=seed)
+    scenarios = ilm_scenarios(base, pairs, "two-links", 40)
+    accountant = IlmAccountant(graph, base)
+    previous = set_backend("python")
+    pyk.decompose_flat = record
+    try:
+        for scenario in scenarios:
+            accountant.process_scenario(scenario)
+            if captured:
+                return captured[0]
+    finally:
+        pyk.decompose_flat = reference
+        set_backend(previous)
+    raise RuntimeError("no two-link scenario disturbed a demand")
 
 
-def _decompose_section(results, graph, anchors, repeat):
-    """A concatenation of shortest paths — the chain shape per-link ILM
-    accounting actually decomposes (few pieces, long spans); a random
-    walk would be adversarial instead (one piece per hop, so the matrix
-    DP's min-plus fixpoint needs ~len(chain) rounds)."""
-    csr = shared_csr(graph)
-    view = as_view(csr)
-    indptr, indices, weights = csr.indptr, csr.indices, csr.weights
-    rng = random.Random(7)
-    preds = {}
-    waypoints = [rng.randrange(csr.n) for _ in range(anchors)]
-    chain = [waypoints[0]]
-    for a, b in zip(waypoints, waypoints[1:]):
-        if a not in preds:
-            preds[a] = pyk.dijkstra_canonical(view, a)[1]
-        seg, t = [], b
-        while t != -1:
-            seg.append(t)
-            t = preds[a][t]
-        chain.extend(reversed(seg[:-1]))
-
-    def edge_weight(u, v):
-        for s in range(indptr[u], indptr[u + 1]):
-            if indices[s] == v:
-                return weights[s]
-        raise KeyError((u, v))
-
-    cum = [0.0]
-    for u, v in zip(chain, chain[1:]):
-        cum.append(cum[-1] + edge_weight(u, v))
-    chain = tuple(chain)
-    rows = {
-        j: pyk.dijkstra_canonical(view, chain[j])[0] for j in range(len(chain))
-    }
-    row_for = rows.__getitem__
-    results["decompose_chain_len"] = len(chain)
-    ref = pyk.decompose_flat(chain, cum, row_for)
+def _decompose_section(results, graph, seed, repeat):
+    """One real scenario's decomposition-memo misses in one call — the
+    shape production makes (numpy runs the reference loop, so only the
+    backends with their own DP are timed)."""
+    q, d, offsets, rows = _scenario_miss_set(graph, seed)
+    chains = len(offsets) - 1
+    results["decompose_chains"] = chains
+    results["decompose_mean_chain_len"] = round(len(q) / max(chains, 1), 2)
+    ref = pyk.decompose_flat(q, d, offsets, rows)
     results["decompose_python_s"] = _timed(
-        lambda: pyk.decompose_flat(chain, cum, row_for), repeat
+        lambda: pyk.decompose_flat(q, d, offsets, rows), repeat
     )
     for name, mod in BACKENDS.items():
-        entry = _decompose_entry(name, mod)
-        assert entry(chain, cum, row_for) == ref, f"decompose: {name} disagrees"
+        entry = mod.decompose_flat
+        if entry is pyk.decompose_flat:
+            continue
+        best, choice, probes = entry(q, d, offsets, rows)
+        assert (list(best), list(choice), probes) == (
+            list(ref[0]), list(ref[1]), ref[2]
+        ), f"decompose: {name} disagrees"
         results[f"decompose_{name}_s"] = _timed(
-            lambda entry=entry: entry(chain, cum, row_for), repeat
+            lambda entry=entry: entry(q, d, offsets, rows), repeat
         )
 
 
@@ -270,13 +285,13 @@ def main(argv=None) -> None:
 
     if args.smoke:
         sizes = {"isp": 120, "internet": 300, "as": 300,
-                 "repair_isp": 400, "anchors": 6,
+                 "repair_isp": 400,
                  "single_sources": 8, "targeted_queries": 20}
         args.repeat = min(args.repeat, 2)
         args.sources = min(args.sources, 60)
     else:
         sizes = {"isp": 200, "internet": 4000, "as": 2000,
-                 "repair_isp": 2000, "anchors": 16,
+                 "repair_isp": 2000,
                  "single_sources": 24, "targeted_queries": 120}
 
     before = COUNTERS.snapshot()
@@ -299,7 +314,7 @@ def main(argv=None) -> None:
     _targeted_section(results, "targeted", repair_graph,
                       sizes["targeted_queries"], args.repeat)
     _repair_section(results, repair_graph, args.repeat)
-    _decompose_section(results, repair_graph, sizes["anchors"], args.repeat)
+    _decompose_section(results, isp_w, args.seed, args.repeat)
 
     speedups: dict[str, dict[str, float]] = {name: {} for name in BACKENDS}
     for key in sorted(results):

@@ -38,6 +38,15 @@ class NegativeWeight(GraphError):
     """An edge weight is negative; Dijkstra-family algorithms reject it."""
 
 
+class NonFiniteWeight(GraphError, ValueError):
+    """An edge weight is NaN or infinite.
+
+    Such a weight has no place in a shortest-path order: the dict and
+    CSR searches would disagree on whether an ``inf`` edge is usable,
+    and NaN compares false against everything.
+    """
+
+
 class MPLSError(ReproError):
     """Base class for errors raised by :mod:`repro.mpls`."""
 

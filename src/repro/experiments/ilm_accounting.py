@@ -33,8 +33,9 @@ integer chains read straight off the base oracle's flat predecessor
 rows, the reverse link/router indices are keyed by ``(min, max)``
 index pairs, per-router naive counts accumulate into one
 ``array('l')``, and repeated backup chains skip the decomposition DP
-through a chain-keyed memo.  Node/:class:`~repro.graph.paths.Path`
-objects are materialized only on a decomposition-memo miss.
+through a chain-keyed memo.  A scenario's memo misses are decomposed
+together in one kernel call (:meth:`IlmAccountant._decompose_misses`)
+that reads the oracle's dist rows in place.
 
 **Parallel fan-out.**  The accumulated state is a pure function of the
 *set* of processed scenarios — counts are additive, primaries/pieces
@@ -49,6 +50,7 @@ sequential run, independent of chunking or merge order.
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate
 from typing import Iterable, Optional
 
 from ..core.base_paths import BaseSet
@@ -323,23 +325,6 @@ class IlmAccountant:
             return None, segments
         return (spt_name, oracle_name), segments
 
-    def _decompose(self, chain: Chain) -> Optional[tuple[Chain, ...]]:
-        """Min-pieces decomposition of a backup chain (memoized); None
-        when the backup admits no base-path decomposition."""
-        memo = self._decomp_memo
-        try:
-            return memo[chain]
-        except KeyError:
-            pass
-        if self._oracle is not None and getattr(
-            self.base, "include_all_edges", False
-        ):
-            result = self._decompose_flat(chain)
-        else:
-            result = self._decompose_path(chain)
-        memo[chain] = result
-        return result
-
     def _probe_weight_map(self) -> dict[tuple[int, int], float]:
         """Directed ``(u idx, v idx) -> weight`` over the probe graph.
 
@@ -359,52 +344,67 @@ class IlmAccountant:
             self._probe_weights = weights
         return weights
 
-    def _decompose_flat(self, chain: Chain) -> tuple[Chain, ...]:
-        """All-array :func:`min_pieces_decompose` for index-aligned
-        implicit base sets with every edge admitted.
+    def _decompose_misses(self, misses: list[Chain]) -> None:
+        """Memoize the min-pieces decomposition of every chain in *misses*.
 
-        Mirrors the DP cell-for-cell — same lexicographic objective,
-        same first-minimal-``j`` tie-break, same probe arithmetic as
-        :class:`~repro.core.decomp_kernel.PrefixSumProbe` — so the
-        returned pieces are identical to the Path-based kernel's; only
-        the Path/dict materialization is gone.  Every 1-hop piece is a
-        base path here (``include_all_edges``), so a decomposition
-        always exists and ``extra_edges`` stays 0.
+        For index-aligned implicit base sets with every edge admitted
+        the whole batch goes through **one** kernel ``decompose_flat``
+        call — an all-array :func:`min_pieces_decompose` that mirrors
+        the DP cell-for-cell (same lexicographic objective, same
+        first-minimal-``j`` tie-break, same probe arithmetic as
+        :class:`~repro.core.decomp_kernel.PrefixSumProbe`), so the
+        pieces are identical to the Path-based kernel's.  Every 1-hop
+        piece is a base path there (``include_all_edges``), so a
+        decomposition always exists and ``extra_edges`` stays 0.
 
-        The DP itself runs on the active kernel backend: every chain
-        prefix with a longer-than-one-hop suffix needs its oracle row
-        exactly once (one-hop pieces always extend the DP, so every
-        prefix is reachable), so the rows are batch-warmed up front and
-        ``decompose_flat`` receives a row getter that only ever hits
-        cache — identical fetch set, hence identical oracle counters,
-        under either backend.
+        The DP reads the oracle row of ``chain[j]`` for every
+        ``j <= len(chain) - 3`` (one-hop pieces always extend the DP,
+        so every prefix is reachable): exactly the union of
+        ``chain[:-2]`` rows is warmed and handed over as float64
+        buffers, so the oracle counters do not depend on the backend
+        or on how chains are batched.  Other base sets decompose one
+        chain at a time through the Path-based kernel.
         """
-        weight = self._probe_weight_map()
-        cum = [0.0]
-        total = 0.0
-        for u, v in zip(chain, chain[1:]):
-            total += weight[(u, v)]
-            cum.append(total)
+        memo = self._decomp_memo
+        if self._oracle is None or not getattr(
+            self.base, "include_all_edges", False
+        ):
+            for chain in misses:
+                memo[chain] = self._decompose_path(chain)
+            return
+        hop_weight = self._probe_weight_map().__getitem__
+        q = array("q")
+        d = array("d")
+        offsets = array("q", [0])
+        needed: dict[int, None] = {}
+        for chain in misses:
+            # Left-to-right running sums from 0.0: the same float adds
+            # as PrefixSumProbe.
+            d.extend(
+                accumulate(map(hop_weight, zip(chain, chain[1:])), initial=0.0)
+            )
+            q.extend(chain)
+            offsets.append(len(q))
+            needed.update(dict.fromkeys(chain[:-2]))
         nodes = self.csr.nodes
         oracle = self._oracle
-        oracle.warm_many(nodes[c] for c in chain[:-2])
-
-        def row_for(j: int) -> list[float]:
-            return oracle.row_arrays(nodes[chain[j]])[0]
-
-        best, choice, probes = kernel_backend().decompose_flat(
-            chain, cum, row_for
+        oracle.warm_many(nodes[c] for c in needed)
+        rows = {c: oracle.dist_buffer(nodes[c]) for c in needed}
+        _best, choice, probes = kernel_backend().decompose_flat(
+            q, d, offsets, rows
         )
         COUNTERS.probe_calls += probes
         COUNTERS.o1_probes += probes
-        pieces: list[Chain] = []
-        i = len(chain) - 1
-        while i > 0:
-            j = choice[i]
-            pieces.append(chain[j : i + 1])
-            i = j
-        pieces.reverse()
-        return tuple(pieces)
+        for k, chain in enumerate(misses):
+            lo = offsets[k]
+            pieces: list[Chain] = []
+            i = len(chain) - 1
+            while i > 0:
+                j = choice[lo + i]
+                pieces.append(chain[j : i + 1])
+                i = j
+            pieces.reverse()
+            memo[chain] = tuple(pieces)
 
     def _decompose_path(self, chain: Chain) -> Optional[tuple[Chain, ...]]:
         """Path-based decomposition fallback (explicit/unaligned bases)."""
@@ -422,20 +422,31 @@ class IlmAccountant:
         )
 
     def process_scenario(self, scenario: FailureScenario) -> int:
-        """Account one failure scenario; returns affected-demand count."""
+        """Account one failure scenario; returns affected-demand count.
+
+        Three steps: walk every affected demand's backup off the
+        repaired rows, decompose all of the scenario's memo misses in
+        one batch (deduplicated in first-seen order, so each distinct
+        chain runs the DP once, as a per-chain memo would), then tally
+        the pieces.
+        """
         grouped = self._affected_by(scenario)
         cache = shared_spt_cache(self.graph, weighted=self.weighted)
         # Multi-source batched repair: one scenario decode, every
         # touched source re-settled via its cached pre-failure row.
         rows = cache.repair_batch_idx(grouped, scenario)
         backup_naive = self._backup_naive
+        primaries = self._primaries_touched
+        memo = self._decomp_memo
+        backups: list[Chain] = []
+        misses: dict[Chain, None] = {}
         affected_total = 0
         for si, targets in grouped.items():
             row = rows.get(si)
             dist, pred = row if row is not None else (None, None)
             affected_total += len(targets)
             for ti in targets:
-                self._primaries_touched.add((si, ti))
+                primaries.add((si, ti))
                 if dist is None or dist[ti] == INF:
                     self.demands_unrestorable += 1
                     continue
@@ -448,12 +459,19 @@ class IlmAccountant:
                 backup = tuple(chain)
                 for x in backup:
                     backup_naive[x] += 1
-                pieces = self._decompose(backup)
-                if pieces is None:
-                    self.demands_unrestorable += 1
-                    continue
-                self.demands_restored += 1
-                self._pieces.update(pieces)
+                if backup not in memo:
+                    misses[backup] = None
+                backups.append(backup)
+        if misses:
+            self._decompose_misses(list(misses))
+        pieces_used = self._pieces
+        for backup in backups:
+            pieces = memo[backup]
+            if pieces is None:
+                self.demands_unrestorable += 1
+                continue
+            self.demands_restored += 1
+            pieces_used.update(pieces)
         self.scenarios_processed += 1
         self._final = None
         return affected_total

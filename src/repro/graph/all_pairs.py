@@ -16,6 +16,7 @@ is only feasible for the small graphs, so this module provides both:
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Iterator, Optional
 
 from ..exceptions import NoPath
@@ -188,6 +189,21 @@ class LazyDistanceOracle:
             raise ValueError("array rows unavailable with break_ties_by_hops")
         self._ensure(source)
         return self._dist[source], self._pred[source]  # type: ignore[return-value]
+
+    def dist_buffer(self, source: Node):
+        """The full canonical dist row of *source* as a float64 buffer.
+
+        What a kernel reads in place (the native decomposition DP takes
+        each row's address).  A row adopted from a shared-memory
+        ``RROW`` segment already is one and comes back as is; a row
+        this oracle computed is a list, replaced by an ``array('d')``
+        copy the first time it is asked for — one conversion per
+        source, and the list is dropped rather than kept twice.
+        """
+        dist = self.row_arrays(source)[0]
+        if isinstance(dist, list):
+            dist = self._dist[source] = array("d", dist)
+        return dist
 
     def _ensure(self, source: Node) -> None:
         """Make the row for *source* a full row."""

@@ -25,9 +25,15 @@ indices, FEC update tables).
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, Iterable, Iterator
 
-from ..exceptions import EdgeNotFound, NegativeWeight, NodeNotFound
+from ..exceptions import (
+    EdgeNotFound,
+    NegativeWeight,
+    NodeNotFound,
+    NonFiniteWeight,
+)
 
 Node = Hashable
 Edge = tuple[Node, Node]
@@ -53,6 +59,21 @@ def edge_key(u: Node, v: Node) -> Edge:
         if (type(u).__name__, repr(u)) <= (type(v).__name__, repr(v)):
             return (u, v)
         return (v, u)
+
+
+def check_weight(u: Node, v: Node, weight: float) -> None:
+    """Reject an edge weight the shortest-path kernels cannot order.
+
+    The one validation point for edge weights: both graph classes'
+    ``add_edge`` (and so every generator and the edge-list loader) go
+    through it.  Raises :class:`~repro.exceptions.NonFiniteWeight` for
+    NaN and ±inf, :class:`~repro.exceptions.NegativeWeight` for the
+    remaining negative weights.
+    """
+    if not math.isfinite(weight):
+        raise NonFiniteWeight(f"non-finite weight {weight!r} on edge ({u!r}, {v!r})")
+    if weight < 0:
+        raise NegativeWeight(f"negative weight {weight!r} on edge ({u!r}, {v!r})")
 
 
 class Graph:
@@ -113,8 +134,7 @@ class Graph:
         """
         if u == v:
             raise ValueError(f"self-loops are not supported: {u!r}")
-        if weight < 0:
-            raise NegativeWeight(f"negative weight {weight!r} on edge ({u!r}, {v!r})")
+        check_weight(u, v, weight)
         self.add_node(u)
         self.add_node(v)
         if v not in self._adj[u]:
@@ -284,8 +304,7 @@ class DiGraph(Graph):
         """Add (or re-weight) the directed edge *u → v*."""
         if u == v:
             raise ValueError(f"self-loops are not supported: {u!r}")
-        if weight < 0:
-            raise NegativeWeight(f"negative weight {weight!r} on edge ({u!r}, {v!r})")
+        check_weight(u, v, weight)
         self.add_node(u)
         self.add_node(v)
         if v not in self._adj[u]:

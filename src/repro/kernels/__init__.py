@@ -32,6 +32,13 @@ backend selected here.  Three backends ship:
     input size — including the targeted searches, single-source rows,
     and small repairs the numpy backend gates back to Python.
 
+The ILM decomposition DP (``decompose_flat``) is batched: one call per
+failure scenario covers every chain the scenario's decomposition memo
+misses, with the oracle dist rows handed over as a node-indexed table.
+The native backend reads those rows in place — shared-memory rows at
+the segment's address — in one crossing, with no Python callbacks;
+numpy runs the reference loop, which stays the semantics to match.
+
 Selection: the ``REPRO_KERNEL`` environment variable (``python``,
 ``numpy``, ``native``, or ``auto`` — the default), or ``--kernel`` on
 every experiment CLI (:func:`add_kernel_argument` / :func:`apply_kernel`).

@@ -17,7 +17,7 @@
  * flushes them into repro.perf.COUNTERS, keeping this file free of any
  * Python API dependency (it is plain C99, linked only against libm).
  * All functions return 0 on success and a negative status on failure
- * (-1 allocation, -2 row-callback error); the wrapper raises.
+ * (-1 allocation, -2..-4 bad decomposition input); the wrapper raises.
  */
 
 #include <math.h>
@@ -485,18 +485,18 @@ oom:
 }
 
 /* ---------------------------------------------------------------- *
- * Min-pieces decomposition DP — forward pass, first-minimal-j ties.
- * Oracle rows are fetched lazily through the Python callback (memoized
- * here per j); a NULL row aborts with -2 and the wrapper re-raises the
- * captured Python exception.
+ * Min-pieces decomposition DP — forward pass, first-minimal-j ties —
+ * over a whole batch of chains in one call.  Chain k occupies
+ * q[offsets[k] .. offsets[k+1]) (node indices) with its prefix sums at
+ * the same positions of cum; best/choice are written at the same
+ * positions.  rows[v] is the oracle dist row of node v (NULL when the
+ * caller supplied none), read in place: the DP looks up
+ * rows[chain[j]][chain[i]] for every probe spanning more than one hop.
+ * Returns -2 (and the offending flat position in *out_bad) when such a
+ * probe needs a row that is missing, -3 when a node index falls
+ * outside the row table or the row width, and -4 (with the chain
+ * number) when offsets[k .. k+1] is not a range inside q.
  * ---------------------------------------------------------------- */
-
-/* Fetch the oracle row for chain position j, *compacted to chain
- * positions*: entry i holds row[chain[i]].  The DP only ever reads a
- * row at chain positions, so the wrapper converts len(chain) doubles
- * per fetch instead of a whole n-node row — the difference between the
- * native DP winning and losing on ISP-scale graphs with short chains. */
-typedef const double *(*row_cb)(i64 j);
 
 static int
 costs_equal(double a, double b, double eps)
@@ -513,53 +513,66 @@ costs_equal(double a, double b, double eps)
 }
 
 int
-repro_decompose(i64 n, const double *cum, double eps,
-                row_cb row_for, i64 *best, i64 *choice, i64 *out_probes)
+repro_decompose_many(i64 nchains, const i64 *offsets, const i64 *q,
+                     const double *cum, i64 total, const double *const *rows,
+                     i64 nrows, i64 width, double eps, i64 *best,
+                     i64 *choice, i64 *out_probes, i64 *out_bad)
 {
-    i64 unset = n + 1;
-    const double **rows = (const double **)calloc((size_t)n,
-                                                  sizeof(double *));
-    if (rows == NULL)
-        return -1;
-    for (i64 i = 0; i < n; i++) {
-        best[i] = unset;
-        choice[i] = 0;
-    }
-    best[0] = 0;
     i64 probes = 0;
-    for (i64 i = 1; i < n; i++) {
-        double cum_i = cum[i];
-        i64 bi = unset;
-        i64 cj = 0;
-        for (i64 j = 0; j < i; j++) {
-            i64 bj = best[j];
-            if (bj == unset)
-                continue;
-            probes++;
-            if (i - j > 1) {
-                const double *row = rows[j];
-                if (row == NULL) {
-                    row = row_for(j);
+    for (i64 k = 0; k < nchains; k++) {
+        i64 lo = offsets[k];
+        if (lo < 0 || offsets[k + 1] < lo || offsets[k + 1] > total) {
+            *out_bad = k;
+            return -4;
+        }
+        i64 n = offsets[k + 1] - lo;
+        const i64 *chain = q + lo;
+        const double *c = cum + lo;
+        i64 *b = best + lo;
+        i64 *ch = choice + lo;
+        i64 unset = n + 1;
+        for (i64 i = 0; i < n; i++) {
+            if (chain[i] < 0 || chain[i] >= width) {
+                *out_bad = lo + i;
+                return -3;
+            }
+            b[i] = unset;
+            ch[i] = 0;
+        }
+        if (n == 0)
+            continue;
+        b[0] = 0;
+        for (i64 i = 1; i < n; i++) {
+            double cum_i = c[i];
+            i64 ci = chain[i];
+            i64 bi = unset;
+            i64 cj = 0;
+            for (i64 j = 0; j < i; j++) {
+                i64 bj = b[j];
+                if (bj == unset)
+                    continue;
+                probes++;
+                if (i - j > 1) {
+                    i64 cjn = chain[j];
+                    const double *row = cjn < nrows ? rows[cjn] : NULL;
                     if (row == NULL) {
-                        free(rows);
+                        *out_bad = lo + j;
                         return -2;
                     }
-                    rows[j] = row;
+                    double d = row[ci];
+                    if (isinf(d) || !costs_equal(cum_i - c[j], d, eps))
+                        continue;
                 }
-                double d = row[i];
-                if (isinf(d) || !costs_equal(cum_i - cum[j], d, eps))
-                    continue;
+                i64 candidate = bj + 1;
+                if (candidate < bi) {
+                    bi = candidate;
+                    cj = j;
+                }
             }
-            i64 candidate = bj + 1;
-            if (candidate < bi) {
-                bi = candidate;
-                cj = j;
-            }
+            b[i] = bi;
+            ch[i] = cj;
         }
-        best[i] = bi;
-        choice[i] = cj;
     }
-    free(rows);
     *out_probes = probes;
     return 0;
 }

@@ -10,10 +10,10 @@ accumulation at the same program points, over IEEE-754 doubles with FP
 contraction disabled.  Outputs and perf counters are therefore bitwise
 identical to the reference backend at **every** input size — there are
 no eligibility gates here, which is the point: the single-source rows,
-targeted early-exit searches, small Ramalingam–Reps repairs, and short
-decomposition chains that the numpy backend hands back to the Python
-loops (``SINGLE_MIN_N``/``REPAIR_MIN_AFFECTED``/``DECOMPOSE_MIN_CHAIN``)
-all run native.
+targeted early-exit searches and small Ramalingam–Reps repairs that
+the numpy backend hands back to the Python loops
+(``SINGLE_MIN_N``/``REPAIR_MIN_AFFECTED``) all run native, and so
+does the ILM decomposition DP, which numpy leaves to the reference.
 
 **No new dependencies.**  The kernels live in ``_native.c`` next to
 this file and are compiled at first use with the system C compiler
@@ -34,19 +34,27 @@ addresses are resolved once and cached on the snapshot
 (``CsrGraph.np_cache``) and view (``CsrView.native_state``).  Calls
 release the GIL (plain ``ctypes`` foreign calls), so ``--jobs`` workers
 and threads overlap native settles.
+
+**One decomposition crossing per ILM scenario.**  ``decompose_flat``
+takes all of a scenario's decomposition-memo misses at once: flat
+chain and prefix-sum buffers cut by an offsets array, plus a table of
+dist-row addresses indexed by node.  The C DP reads
+``rows[chain[j]][chain[i]]`` straight from the oracle's own buffers —
+``array('d')`` rows by address, and rows adopted from a shared-memory
+``RROW`` segment in place at the segment's address — so no row is
+copied per call and nothing calls back into Python.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
-import operator
 import os
 import shutil
 import subprocess
 from array import array
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from ..perf import COUNTERS
 
@@ -179,7 +187,6 @@ def _load() -> ctypes.CDLL:
 _i64 = ctypes.c_int64
 _i64p = ctypes.POINTER(ctypes.c_int64)
 _ptr = ctypes.c_void_p
-_ROW_CB = ctypes.CFUNCTYPE(ctypes.c_void_p, ctypes.c_int64)
 
 _LIB = _load()
 
@@ -202,9 +209,10 @@ _LIB.repro_repair.argtypes = [
     _ptr, _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _i64, _ptr, _i64, _ptr, _ptr,
     _i64p, _i64p,
 ]
-_LIB.repro_decompose.restype = ctypes.c_int
-_LIB.repro_decompose.argtypes = [
-    _i64, _ptr, ctypes.c_double, _ROW_CB, _ptr, _ptr, _i64p,
+_LIB.repro_decompose_many.restype = ctypes.c_int
+_LIB.repro_decompose_many.argtypes = [
+    _i64, _ptr, _ptr, _ptr, _i64, _ptr, _i64, _i64, ctypes.c_double, _ptr,
+    _ptr, _i64p, _i64p,
 ]
 
 
@@ -417,52 +425,97 @@ def repair_resettle(
     return new_dist.tolist(), new_pred.tolist()
 
 
-def decompose_flat(
-    chain: tuple[int, ...],
-    cum: list[float],
-    row_for: Callable[[int], list[float]],
-) -> tuple[list[int], list[int], int]:
-    """Min-pieces decomposition DP with lazy oracle-row fetches.
+class _PyBuffer(ctypes.Structure):
+    """CPython's ``Py_buffer``: how a read-only row's address is read."""
 
-    Rows cross back into Python through a ctypes callback exactly when
-    the reference loop would fetch them (memoized per ``j`` on the C
-    side), compacted to chain positions on the way in — the DP only
-    reads ``row[chain[i]]``, so each fetch converts ``len(chain)``
-    doubles instead of a whole n-node row.  A raising ``row_for``
-    aborts the DP and re-raises here.
+    _fields_ = [
+        ("buf", ctypes.c_void_p),
+        ("obj", ctypes.c_void_p),
+        ("len", ctypes.c_ssize_t),
+        ("itemsize", ctypes.c_ssize_t),
+        ("readonly", ctypes.c_int),
+        ("ndim", ctypes.c_int),
+        ("format", ctypes.c_char_p),
+        ("shape", ctypes.c_void_p),
+        ("strides", ctypes.c_void_p),
+        ("suboffsets", ctypes.c_void_p),
+        ("internal", ctypes.c_void_p),
+    ]
+
+
+_get_buffer = ctypes.pythonapi.PyObject_GetBuffer
+_get_buffer.argtypes = [ctypes.py_object, ctypes.POINTER(_PyBuffer), ctypes.c_int]
+_get_buffer.restype = ctypes.c_int
+_release_buffer = ctypes.pythonapi.PyBuffer_Release
+_release_buffer.argtypes = [ctypes.POINTER(_PyBuffer)]
+_release_buffer.restype = None
+
+
+def decompose_flat(q, d, offsets, rows) -> tuple[array, array, int]:
+    """Min-pieces DP over a batch of chains — one crossing, no callbacks.
+
+    Same contract as the reference entry (flat *q*/*d* chains and
+    prefix sums cut by *offsets*, ``rows[v]`` the dist row of node
+    *v*).  The C DP reads ``rows[chain[j]][chain[i]]`` straight from
+    the rows' own memory: ``array('d')`` rows by address, and any other
+    float64 buffer — read-only shared-memory views of adopted ``RROW``
+    rows included — in place through a buffer export held only until
+    the call returns.  List rows are copied to float64 per call; the
+    ILM accountant hands over the oracle's buffers instead
+    (``LazyDistanceOracle.dist_buffer``).  Node indices outside the
+    row table or beyond a row's length raise ``IndexError``, a missing
+    row the DP needs raises ``KeyError``.
     """
     from ..graph.shortest_paths import EPSILON
 
-    n = len(chain)
-    if n == 0:
-        return [], [], 0
-    if n > 1:
-        compact = operator.itemgetter(*chain)
-    else:
-        compact = None  # single-element chains never fetch a row
-    cum_arr = array("d", cum)
-    best = array("q", bytes(8 * n))
-    choice = array("q", bytes(8 * n))
-    probes = _i64()
-    keepalive: list[array] = []
-    failure: list[BaseException] = []
-
-    @_ROW_CB
-    def _fetch(j: int):
-        try:
-            row = array("d", compact(row_for(j)))
-            keepalive.append(row)
-            return row.buffer_info()[0]
-        except BaseException as exc:  # propagated around the C frame
-            failure.append(exc)
-            return None
-
-    status = _LIB.repro_decompose(
-        n, cum_arr.buffer_info()[0],
-        float(EPSILON), _fetch, best.buffer_info()[0],
-        choice.buffer_info()[0], ctypes.byref(probes),
+    q_arr = q if isinstance(q, array) and q.typecode == "q" else array("q", q)
+    d_arr = d if isinstance(d, array) and d.typecode == "d" else array("d", d)
+    off = (
+        offsets if isinstance(offsets, array) and offsets.typecode == "q"
+        else array("q", offsets)
     )
-    if failure:
-        raise failure[0]
+    total = len(q_arr)
+    if len(d_arr) != total or not off:
+        raise ValueError("decompose_flat: q, d and offsets disagree")
+    best = array("q", bytes(8 * total))
+    choice = array("q", bytes(8 * total))
+    nrows = max(rows) + 1 if rows else 0
+    table = array("q", bytes(8 * max(nrows, 1)))
+    width = 1 << 62  # no rows: nothing is read, so no node bound applies
+    copies: list[array] = []
+    exports: list[_PyBuffer] = []
+    try:
+        for v, row in rows.items():
+            if isinstance(row, list):
+                row = array("d", row)
+                copies.append(row)
+            if isinstance(row, array) and row.typecode == "d":
+                table[v] = row.buffer_info()[0]
+            else:
+                view = row if isinstance(row, memoryview) else memoryview(row)
+                if view.format != "d":
+                    raise TypeError("decompose_flat rows must hold float64")
+                export = _PyBuffer()
+                _get_buffer(row, export, 0)  # BufferError if not contiguous
+                exports.append(export)
+                table[v] = export.buf
+            width = min(width, len(row))
+        probes = _i64()
+        bad = _i64()
+        status = _LIB.repro_decompose_many(
+            len(off) - 1, off.buffer_info()[0], q_arr.buffer_info()[0],
+            d_arr.buffer_info()[0], total, table.buffer_info()[0], nrows,
+            width, float(EPSILON), best.buffer_info()[0],
+            choice.buffer_info()[0], ctypes.byref(probes), ctypes.byref(bad),
+        )
+    finally:
+        for export in exports:
+            _release_buffer(export)
+    if status == -2:
+        raise KeyError(q_arr[bad.value])
+    if status == -3:
+        raise IndexError(f"chain node {q_arr[bad.value]} outside the row table")
+    if status == -4:
+        raise ValueError(f"decompose_flat: offsets[{bad.value}] out of order")
     _check(status)
-    return best.tolist(), choice.tolist(), probes.value
+    return best, choice, probes.value

@@ -34,8 +34,8 @@ lexicographic minima; unit-weight graphs take a narrower path (every
 tight parent of ``v`` sits at level ``dist[v] - 1``, so the
 parent-distance tie pass vanishes and int32 levels halve the memory
 traffic).  The decremental re-settle of ``repair_spt`` runs the
-restricted fixpoint over the affected subtree, and the ILM
-decomposition DP becomes a masked matrix recurrence.
+restricted fixpoint over the affected subtree.  The ILM decomposition
+DP is the reference loop (see :data:`decompose_flat`).
 
 **Counter parity.**  The reference loops count one ``csr_relaxation``
 per live slot scanned from a settled node and one ``csr_settled`` per
@@ -44,16 +44,15 @@ this backend computes exactly; the repair counters mirror the
 boundary-offer/settle-scan accounting the same way.  Both backends
 therefore emit identical ``BENCH_*.json`` counter blocks.
 
-Stage dispatch: targeted early-exit queries, tiny single rows, small
-affected sets, and short decomposition chains stay on the reference
-loops (vectorization overhead would dominate); the thresholds are
+Stage dispatch: targeted early-exit queries, tiny single rows and small
+affected sets stay on the reference loops (vectorization overhead would dominate); the thresholds are
 module constants and affect nothing observable — outputs and counters
 are backend-invariant by construction.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -91,10 +90,6 @@ SINGLE_MIN_N = 400
 #: heap loop; the vectorized path needs enough rows per round to pay
 #: for its gathers.
 REPAIR_MIN_AFFECTED = 192
-
-#: Decomposition chains shorter than this run the reference DP (the
-#: matrix recurrence only wins once the O(len²) cell count is real).
-DECOMPOSE_MIN_CHAIN = 24
 
 
 # -- cached array views -------------------------------------------------------
@@ -525,59 +520,7 @@ def _repair_resettle_vec(
     return new_dist.tolist(), new_pred.tolist()
 
 
-def decompose_flat(
-    chain: tuple[int, ...],
-    cum: list[float],
-    row_for: Callable[[int], list[float]],
-) -> tuple[list[int], list[int], int]:
-    """Min-pieces DP; matrix recurrence above the chain-length gate."""
-    if len(chain) < DECOMPOSE_MIN_CHAIN:
-        return _py.decompose_flat(chain, cum, row_for)
-    return _decompose_flat_vec(chain, cum, row_for)
-
-
-def _decompose_flat_vec(
-    chain: tuple[int, ...],
-    cum: list[float],
-    row_for: Callable[[int], list[float]],
-) -> tuple[list[int], list[int], int]:
-    """Masked matrix form of the decomposition DP.
-
-    ``valid[j, i]`` reproduces the reference cell test — one-hop pieces
-    unconditionally, longer spans iff the prefix-sum cost matches the
-    oracle distance under ``costs_equal`` tolerance — then min-plus
-    rounds reach the same lexicographic-minimal piece counts and the
-    first-minimal-``j`` choice falls out of a column argmax.
-    """
-    from ..graph.shortest_paths import EPSILON
-
-    n = len(chain)
-    unset = n + 1
-    cumv = np.asarray(cum)
-    dist_ji = np.full((n, n), INF)
-    for j in range(n - 2):
-        row = row_for(j)
-        dist_ji[j] = [row[c] for c in chain]
-    span = cumv[None, :] - cumv[:, None]
-    gap = np.arange(n)[None, :] - np.arange(n)[:, None]
-    tol = EPSILON * np.maximum(
-        1.0, np.maximum(np.abs(span), np.abs(dist_ji))
-    )
-    valid = (gap == 1) | (
-        (gap > 1) & np.isfinite(dist_ji) & (np.abs(span - dist_ji) <= tol)
-    )
-    best = np.full(n, INF)
-    best[0] = 0.0
-    while True:
-        cand = np.where(valid, best[:, None] + 1.0, INF).min(axis=0)
-        new = np.minimum(best, cand)
-        if np.array_equal(new, best):
-            break
-        best = new
-    eligible = valid & (best[:, None] + 1.0 == best[None, :])
-    choice = np.where(eligible.any(axis=0), eligible.argmax(axis=0), 0)
-    # The reference loop probes every (i, j<i) pair whose best[j] is
-    # set at the time i is processed — final by then, so closed form.
-    probes = int(np.count_nonzero(np.isfinite(best)[:, None] & (gap >= 1)))
-    best_list = [int(b) if np.isfinite(b) else unset for b in best]
-    return best_list, choice.tolist(), probes
+#: The ILM decomposition DP runs the reference loop: a chain of k nodes
+#: costs O(k²) cells, and production chains are a handful of nodes —
+#: far below the size where a matrix recurrence pays for its setup.
+decompose_flat = _py.decompose_flat

@@ -24,14 +24,16 @@ Backend interface (duck-typed module):
     Ramalingam–Reps re-settle of a non-empty affected subtree; returns
     fresh ``(new_dist, new_pred)`` and accounts
     ``spt_nodes_resettled`` / ``csr_relaxations``.
-``decompose_flat(chain, cum, row_for) -> (best, choice, probes)``
-    The min-pieces decomposition DP over prefix sums and oracle rows.
+``decompose_flat(q, d, offsets, rows) -> (best, choice, probes)``
+    The min-pieces decomposition DP over a batch of chains: flat chain
+    nodes *q* and prefix sums *d* cut by *offsets*, oracle dist rows
+    keyed by node in *rows*.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from ..perf import COUNTERS
 
@@ -230,49 +232,54 @@ def repair_resettle(
     return new_dist, new_pred
 
 
-def decompose_flat(
-    chain: tuple[int, ...],
-    cum: list[float],
-    row_for: Callable[[int], list[float]],
-) -> tuple[list[int], list[int], int]:
-    """Min-pieces DP over prefix sums — forward pass, first-minimal-j ties.
+def decompose_flat(q, d, offsets, rows) -> tuple[list[int], list[int], int]:
+    """Min-pieces DP over a batch of chains — forward pass, first-minimal-j
+    ties.
 
-    *cum* holds prefix sums of the chain's probe-graph weights;
-    ``row_for(j)`` yields the oracle distance row of ``chain[j]``
-    (fetched lazily, memoized per call).  Returns ``(best, choice,
-    probes)`` with ``best[i] == len(chain) + 1`` meaning unset; the
-    caller extracts pieces and accounts the probes.
+    Chain *k* is ``q[offsets[k]:offsets[k + 1]]`` (node indices) with
+    the prefix sums of its probe-graph weights at the same positions
+    of *d*; ``rows[v]`` is the oracle dist row of node *v*, needed for
+    every ``chain[j]`` with ``j <= len(chain) - 3`` (a missing one
+    raises ``KeyError``).  Returns flat ``(best, choice, probes)``
+    aligned with *q*: ``best[lo + i] == len(chain) + 1`` means unset,
+    and ``probes`` totals the cell probes of every chain.  The caller
+    extracts pieces and accounts the probes.
     """
     from ..graph.shortest_paths import costs_equal
 
-    n = len(chain)
-    unset = n + 1
-    best = [unset] * n
-    choice = [0] * n
-    best[0] = 0
-    rows: dict[int, list[float]] = {}
+    best: list[int] = []
+    choice: list[int] = []
     probes = 0
-    for i in range(1, n):
-        ci = chain[i]
-        cum_i = cum[i]
-        bi = unset
-        cj = 0
-        for j in range(i):
-            bj = best[j]
-            if bj == unset:
-                continue
-            probes += 1
-            if i - j > 1:
-                row = rows.get(j)
-                if row is None:
-                    row = rows[j] = row_for(j)
-                d = row[ci]
-                if d == INF or not costs_equal(cum_i - cum[j], d):
+    for k in range(len(offsets) - 1):
+        lo, hi = offsets[k], offsets[k + 1]
+        chain = q[lo:hi]
+        cum = d[lo:hi]
+        n = hi - lo
+        unset = n + 1
+        b = [unset] * n
+        ch = [0] * n
+        if n:
+            b[0] = 0
+        for i in range(1, n):
+            ci = chain[i]
+            cum_i = cum[i]
+            bi = unset
+            cj = 0
+            for j in range(i):
+                bj = b[j]
+                if bj == unset:
                     continue
-            candidate = bj + 1
-            if candidate < bi:
-                bi = candidate
-                cj = j
-        best[i] = bi
-        choice[i] = cj
+                probes += 1
+                if i - j > 1:
+                    dj = rows[chain[j]][ci]
+                    if dj == INF or not costs_equal(cum_i - cum[j], dj):
+                        continue
+                candidate = bj + 1
+                if candidate < bi:
+                    bi = candidate
+                    cj = j
+            b[i] = bi
+            ch[i] = cj
+        best += b
+        choice += ch
     return best, choice, probes

@@ -18,7 +18,7 @@ import ast
 from pathlib import Path as FilePath
 from typing import Union
 
-from ..exceptions import TopologyError
+from ..exceptions import NegativeWeight, NonFiniteWeight, TopologyError
 from ..graph.graph import DiGraph, Graph
 
 
@@ -54,8 +54,11 @@ def load_edgelist(path: Union[str, FilePath]) -> Graph:
             w = float(ast.literal_eval(parts[2]))
         except (ValueError, SyntaxError) as exc:
             raise TopologyError(f"{path}:{lineno}: unparsable record {raw!r}") from exc
-        edges.append((u, v, w))
+        edges.append((lineno, u, v, w))
     graph = DiGraph() if directed else Graph()
-    for u, v, w in edges:
-        graph.add_edge(u, v, weight=w)
+    for lineno, u, v, w in edges:
+        try:
+            graph.add_edge(u, v, weight=w)
+        except (NegativeWeight, NonFiniteWeight) as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from exc
     return graph

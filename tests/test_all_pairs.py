@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 
 from repro.exceptions import NoPath
@@ -83,6 +85,45 @@ class TestLazyDistanceOracle:
         with pytest.raises(NoPath):
             lazy.distance(1, 4)
         assert not lazy.has_path(1, 4)
+
+    def test_dist_buffer_converts_a_computed_row_once(self, small_isp):
+        lazy = LazyDistanceOracle(small_isp)
+        source = sorted(small_isp.nodes, key=repr)[0]
+        dist = list(lazy.row_arrays(source)[0])
+        buf = lazy.dist_buffer(source)
+        assert isinstance(buf, array) and buf.typecode == "d"
+        assert list(buf) == dist
+        # Cached in place of the list: later calls (and row_arrays)
+        # hand back the same buffer, and the answers are unchanged.
+        assert lazy.dist_buffer(source) is buf
+        assert lazy.row_arrays(source)[0] is buf
+        target = sorted(small_isp.nodes, key=repr)[-1]
+        assert lazy.distance(source, target) == dist[
+            lazy.csr().index[target]
+        ]
+
+    def test_dist_buffer_returns_adopted_rows_in_place(self, small_isp):
+        from repro.graph.shm import attach_rows, publish_rows
+
+        warm = LazyDistanceOracle(small_isp)
+        source = sorted(small_isp.nodes, key=repr)[0]
+        csr = warm.csr()
+        warm.ensure_rows([source])
+        seg = publish_rows(
+            "oracle", csr.n, True, csr.source_version, warm.export_rows()
+        )
+        if seg is None:
+            pytest.skip("shared memory unavailable on this platform")
+        with seg:
+            table, handle = attach_rows(seg.name)
+            try:
+                adopter = LazyDistanceOracle(small_isp)
+                assert adopter.adopt_rows(table) == 1
+                adopted = adopter.row_arrays(source)[0]
+                assert adopter.dist_buffer(source) is adopted
+                assert isinstance(adopted, memoryview) and adopted.readonly
+            finally:
+                handle.close()
 
     def test_path(self, weighted_diamond):
         lazy = LazyDistanceOracle(weighted_diamond)

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import EdgeNotFound, NegativeWeight, NodeNotFound
+from repro.exceptions import (
+    EdgeNotFound,
+    NegativeWeight,
+    NodeNotFound,
+    NonFiniteWeight,
+)
 from repro.graph.graph import DiGraph, FilteredView, Graph, edge_key
 
 
@@ -49,6 +54,27 @@ class TestGraph:
     def test_negative_weight_rejected(self):
         with pytest.raises(NegativeWeight):
             Graph().add_edge(1, 2, weight=-1.0)
+
+    @pytest.mark.parametrize("cls", [Graph, DiGraph])
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected(self, cls, weight):
+        g = cls()
+        with pytest.raises(NonFiniteWeight, match="non-finite weight"):
+            g.add_edge(1, 2, weight=weight)
+        # Rejected before any mutation: the graph stays empty.
+        assert g.number_of_edges() == 0
+        assert not g.has_node(1)
+
+    def test_non_finite_reweight_keeps_the_old_weight(self):
+        g = Graph()
+        g.add_edge(1, 2, weight=3.0)
+        with pytest.raises(NonFiniteWeight):
+            g.add_edge(1, 2, weight=float("inf"))
+        assert g.weight(1, 2) == 3.0
+
+    def test_digraph_negative_weight_rejected(self):
+        with pytest.raises(NegativeWeight):
+            DiGraph().add_edge(1, 2, weight=-1.0)
 
     def test_remove_edge(self, triangle):
         triangle.remove_edge(1, 2)

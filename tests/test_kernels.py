@@ -10,11 +10,13 @@ and dead nodes, for **both** accelerated backends: ``numpy`` (under
 the scipy settle stage *and* the Bellman–Ford fallback it uses when
 scipy is absent) and ``native`` (the compiled C kernels).
 
-The numpy vectorized stages are called directly
-(``_repair_resettle_vec``, ``_decompose_flat_vec``) so the size gates
-— which route small inputs to the reference loops — cannot hide a
-divergence; the native backend has no gates, so its public entry
-points are exercised at every input size.
+The numpy vectorized repair stage is called directly
+(``_repair_resettle_vec``) so its size gate — which routes small inputs
+to the reference loop — cannot hide a divergence; the native backend
+has no gates, so its public entry points are exercised at every input
+size.  The batched decomposition DP is differentially tested against
+the reference on hand-built batches as well (short chains, ``INF``
+rows, the ``EPSILON`` boundary, duplicates, and every row container).
 
 Tie-heavy graphs matter most here: on unit-weight topologies (grid,
 cycle, comb) nearly every node has several tight parents, so any
@@ -26,7 +28,9 @@ selection tests below run regardless.
 
 from __future__ import annotations
 
+import math
 import random
+from array import array
 
 import pytest
 
@@ -220,12 +224,6 @@ def _repair_entry(accel):
     return mod._repair_resettle_vec if accel == "numpy" else mod.repair_resettle
 
 
-def _decompose_entry(accel):
-    """The no-gate decomposition DP entry point for *accel*."""
-    mod = _accel_module(accel)
-    return mod._decompose_flat_vec if accel == "numpy" else mod.decompose_flat
-
-
 class TestRepairBitIdentity:
     """Accelerated SPT re-settle == the boundary-offer reference loop."""
 
@@ -295,6 +293,21 @@ class TestRepairBitIdentity:
         self._assert_repairs(graph, unit=False, entry=npk._repair_resettle_vec)
 
 
+def _flat_batch(chains):
+    """``(q, d, offsets)`` for a batch of ``(chain, cum)`` pairs."""
+    q, d, offsets = [], [], [0]
+    for chain, cum in chains:
+        q.extend(chain)
+        d.extend(cum)
+        offsets.append(len(q))
+    return q, d, offsets
+
+
+def _as_lists(result):
+    best, choice, probes = result
+    return list(best), list(choice), probes
+
+
 class TestDecomposeBitIdentity:
     """Accelerated decomposition DP == the forward reference DP, exactly."""
 
@@ -327,59 +340,156 @@ class TestDecomposeBitIdentity:
     @FAMILY_PARAMS
     def test_decomposition_columns_match(self, family, accel):
         graph = family()
-        entry = _decompose_entry(accel)
+        entry = _accel_module(accel).decompose_flat
         rng = random.Random(23)
-        for view, chain, cum in self._chains(graph, rng):
-            # Pre-warmed rows: row_for must not touch the csr counters,
-            # so the probe deltas below compare only the DP itself.
-            rows = {
-                j: pyk.dijkstra_canonical(view, chain[j])[0]
-                for j in range(len(chain))
-            }
-            row_for = rows.__getitem__
-            before = COUNTERS.snapshot()
-            ref = pyk.decompose_flat(chain, cum, row_for)
-            ref_delta = COUNTERS.delta(before)
-            before = COUNTERS.snapshot()
-            acc = entry(chain, cum, row_for)
-            acc_delta = COUNTERS.delta(before)
-            assert acc == ref
-            assert acc_delta == ref_delta
-
-    @requires_native
-    def test_native_fetches_rows_lazily_like_the_reference(self):
-        """Row callbacks fire for exactly the same ``j`` sequence."""
-        graph = generate_isp_topology(n=40, seed=3)
-        csr = shared_csr(graph)
-        view = as_view(csr)
-        chain = tuple(range(0, min(csr.n, 12)))
-        dist0, _, _ = pyk.dijkstra_canonical(view, chain[0])
-        cum = [0.0]
-        for k in range(1, len(chain)):
-            d = pyk.dijkstra_canonical(view, chain[k - 1], [chain[k]])[0]
-            cum.append(cum[-1] + d[chain[k]])
+        batch = [(chain, cum) for _view, chain, cum in self._chains(graph, rng)]
+        view = as_view(shared_csr(graph))
+        # Pre-computed rows: the kernels must not touch the csr
+        # counters, so the deltas below compare only the DP itself.
         rows = {
-            j: pyk.dijkstra_canonical(view, chain[j])[0]
-            for j in range(len(chain))
+            v: pyk.dijkstra_canonical(view, v)[0]
+            for chain, _cum in batch for v in chain
         }
-        ref_calls: list[int] = []
-        ref = pyk.decompose_flat(
-            chain, cum, lambda j: (ref_calls.append(j), rows[j])[1]
-        )
-        nat_calls: list[int] = []
-        nat = natk.decompose_flat(
-            chain, cum, lambda j: (nat_calls.append(j), rows[j])[1]
-        )
-        assert nat == ref
-        assert nat_calls == ref_calls
+        q, d, offsets = _flat_batch(batch)
+        before = COUNTERS.snapshot()
+        ref = pyk.decompose_flat(q, d, offsets, rows)
+        ref_delta = COUNTERS.delta(before)
+        before = COUNTERS.snapshot()
+        acc = entry(q, d, offsets, rows)
+        acc_delta = COUNTERS.delta(before)
+        assert _as_lists(acc) == _as_lists(ref)
+        assert acc_delta == ref_delta
 
-    @requires_native
-    def test_native_propagates_row_callback_errors(self):
-        def boom(j):
-            raise ValueError("row fetch failed")
 
-        with pytest.raises(ValueError, match="row fetch failed"):
-            natk.decompose_flat((1, 2, 3, 4), [0.0, 1.0, 2.0, 3.0], boom)
+def _boundary_cost(span):
+    """The largest row distance ``costs_equal`` still matches to *span*."""
+    from repro.graph.shortest_paths import EPSILON, costs_equal
+
+    d = span + EPSILON * span
+    while not costs_equal(span, d):
+        d = math.nextafter(d, -math.inf)
+    while costs_equal(span, math.nextafter(d, math.inf)):
+        d = math.nextafter(d, math.inf)
+    return d
+
+
+@requires_native
+class TestDecomposeBatchDifferential:
+    """Native vs reference ``decompose_flat`` on hand-built batches.
+
+    Outputs and probe counts must match for every row container the
+    production path can hand over: lists, ``array('d')`` copies, and
+    read-only views of an attached shared-memory row table.
+    """
+
+    N = 6  # row width: node indices 0..5
+
+    def _rows(self, entries):
+        """Six-wide rows of *entries* (``{(j, i): dist}``), 100.0 elsewhere."""
+        rows = {v: [100.0] * self.N for v in range(self.N)}
+        for (j, i), dist in entries.items():
+            rows[j][i] = dist
+        return rows
+
+    def _assert_same(self, batch, rows):
+        q, d, offsets = _flat_batch(batch)
+        ref = _as_lists(pyk.decompose_flat(q, d, offsets, rows))
+        for flavor in (rows, {v: array("d", r) for v, r in rows.items()}):
+            assert _as_lists(natk.decompose_flat(q, d, offsets, flavor)) == ref
+        return ref
+
+    def test_short_chains(self):
+        batch = [
+            ((4,), [0.0]),
+            ((1, 2), [0.0, 1.0]),
+            ((0, 1, 2), [0.0, 1.0, 2.0]),
+        ]
+        best, choice, probes = self._assert_same(
+            batch, self._rows({(0, 2): 2.0})
+        )
+        # (4,): no pieces; (1, 2): one hop; (0, 1, 2): one base path.
+        assert best == [0, 0, 1, 0, 1, 1]
+        assert choice == [0, 0, 0, 0, 0, 0]
+        assert probes == 0 + 1 + 3
+
+    def test_inf_row_entries_are_never_base_paths(self):
+        inf = float("inf")
+        batch = [((0, 1, 2, 3), [0.0, 1.0, 2.0, 3.0])]
+        rows = self._rows({(0, 2): inf, (0, 3): inf, (1, 3): 2.0})
+        best, choice, _ = self._assert_same(batch, rows)
+        assert best[-1] == 2 and choice[-1] == 1
+
+    def test_costs_at_and_beyond_the_epsilon_tolerance(self):
+        span = 7.3
+        at = _boundary_cost(span)
+        beyond = math.nextafter(at, math.inf)
+        chain = (0, 1, 2)
+        cum = [0.0, 3.1, span]
+        ref_at = self._assert_same([(chain, cum)], self._rows({(0, 2): at}))
+        ref_beyond = self._assert_same(
+            [(chain, cum)], self._rows({(0, 2): beyond})
+        )
+        assert ref_at[0][-1] == 1  # still a single base path
+        assert ref_beyond[0][-1] == 2  # one ulp further: two pieces
+
+    def test_duplicated_chains_in_one_batch(self):
+        chain = (0, 1, 2, 3, 4)
+        cum = [0.0, 1.0, 2.0, 3.0, 4.0]
+        rows = self._rows({(0, 2): 2.0, (2, 4): 2.0})
+        single = self._assert_same([(chain, cum)], rows)
+        double = self._assert_same([(chain, cum), (chain, cum)], rows)
+        assert double[0] == single[0] * 2
+        assert double[1] == single[1] * 2
+        assert double[2] == 2 * single[2]
+
+    def test_attached_shared_memory_rows_are_read_in_place(self):
+        from repro.graph.shm import attach_rows, publish_rows
+
+        rows = self._rows({(0, 2): 2.0, (1, 3): 2.0, (0, 3): 3.0})
+        seg = publish_rows(
+            "oracle", self.N, True, None,
+            {v: (row, [0] * self.N) for v, row in rows.items()},
+        )
+        if seg is None:
+            pytest.skip("shared memory unavailable on this platform")
+        batch = [
+            ((0, 1, 2, 3), [0.0, 1.0, 2.0, 3.0]),
+            ((1, 2, 3, 4), [0.0, 1.0, 2.0, 3.0]),
+        ]
+        q, d, offsets = _flat_batch(batch)
+        with seg:
+            table, handle = attach_rows(seg.name)
+            try:
+                views = {v: table.row(v)[0] for v in table.sources}
+                assert all(view.readonly for view in views.values())
+                ref = _as_lists(pyk.decompose_flat(q, d, offsets, rows))
+                got = _as_lists(natk.decompose_flat(q, d, offsets, views))
+                assert got == ref
+                # No buffer export outlives the call: every view can
+                # still be released, so the segment can detach.
+                for view in views.values():
+                    view.release()
+            finally:
+                handle.close()
+
+    def test_native_rejects_out_of_range_input(self):
+        rows = self._rows({})
+        # A node beyond the rows' width would read past a row's end.
+        with pytest.raises(IndexError):
+            natk.decompose_flat([0, 1, self.N], [0.0, 1.0, 2.0], [0, 3], rows)
+        # Offsets must cut q into in-bounds, non-decreasing ranges.
+        with pytest.raises(ValueError):
+            natk.decompose_flat([0, 1, 2], [0.0, 1.0, 2.0], [0, 4], rows)
+        with pytest.raises(ValueError):
+            natk.decompose_flat([0, 1, 2], [0.0, 1.0], [0, 3], rows)
+
+    @pytest.mark.parametrize("backend", ["python", "native"])
+    def test_missing_row_raises_key_error(self, backend):
+        entry = (pyk if backend == "python" else natk).decompose_flat
+        rows = self._rows({})
+        del rows[1]
+        with pytest.raises(KeyError):
+            entry([0, 1, 2, 3], [0.0, 1.0, 2.0, 3.0], [0, 4], rows)
 
 
 class TestSelection:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import TopologyError
+from repro.exceptions import NegativeWeight, NonFiniteWeight, TopologyError
 from repro.graph.connectivity import is_connected, is_two_edge_connected
 from repro.graph.graph import Graph
 from repro.graph.shortest_paths import shortest_path, shortest_path_length
@@ -277,6 +277,19 @@ class TestLoader:
         path = tmp_path / "bad.edges"
         path.write_text("1 2 3\n")  # spaces, not tabs
         with pytest.raises(TopologyError):
+            load_edgelist(path)
+
+    @pytest.mark.parametrize("token", ["1e999", "-1e999", "'nan'", "'inf'"])
+    def test_non_finite_weight_rejected_with_its_line(self, tmp_path, token):
+        path = tmp_path / "inf.edges"
+        path.write_text(f"# directed: false\n1\t2\t1.0\n2\t3\t{token}\n")
+        with pytest.raises(NonFiniteWeight, match=r"inf\.edges:3: non-finite"):
+            load_edgelist(path)
+
+    def test_negative_weight_rejected_with_its_line(self, tmp_path):
+        path = tmp_path / "neg.edges"
+        path.write_text("# directed: true\n1\t2\t-2.0\n")
+        with pytest.raises(NegativeWeight, match=r"neg\.edges:2: negative"):
             load_edgelist(path)
 
     def test_comments_and_blanks_ignored(self, tmp_path):
