@@ -27,30 +27,37 @@ demand of that source reads its backup off the repaired predecessor
 array.  That is what makes all-pairs demand universes tractable on the
 ISP and sampled-source universes tractable on the large graphs.
 
-**Flat-array bookkeeping.**  All per-scenario mutation state lives in
-CSR index space (``shared_csr(graph).nodes`` positions): primaries are
-integer chains read straight off the base oracle's flat predecessor
-rows, the reverse link/router indices are keyed by ``(min, max)``
-index pairs, per-router naive counts accumulate into one
-``array('l')``, and repeated backup chains skip the decomposition DP
-through a chain-keyed memo.  A scenario's memo misses are decomposed
-together in one kernel call (:meth:`IlmAccountant._decompose_misses`)
-that reads the oracle's dist rows in place.
+**Preorder-slice demand universe.**  All per-scenario state lives in
+CSR index space (``shared_csr(graph).nodes`` positions).  The base
+oracle is tie-free, so one source's primaries are its predecessor
+tree: the demands a dead link or router disturbs are the subtree
+below it, one contiguous slice of the tree's preorder, and a
+multi-failure scenario disturbs a union of such slices.  Per-source
+``pred`` rows are warmed once and the ``(order, pos, size)`` preorder
+arrays are built lazily, so no reverse index over the universe
+exists.  Touched primaries are a ``bytearray`` bitmap over
+``(source position, target)``, per-router naive counts accumulate
+into one ``array('l')``, and repeated backup chains skip the
+decomposition DP through a chain-keyed memo.  A scenario's memo
+misses are decomposed together in one kernel call
+(:meth:`IlmAccountant._decompose_misses`) that reads the oracle's dist
+rows in place.
 
 **Parallel fan-out.**  The accumulated state is a pure function of the
-*set* of processed scenarios — counts are additive, primaries/pieces
-dedup by set union, and the derived counters (:meth:`stretch_factors`,
-:meth:`table_sizes`, :meth:`base_lsp_count`) are finalized from that
-state in node-index order.  Workers therefore process disjoint
-scenario chunks and ship :meth:`export_state`; the parent
-:meth:`merge_state`-s them and gets results byte-identical to the
-sequential run, independent of chunking or merge order.
+*set* of processed scenarios — counts are additive, the primaries
+bitmap ORs, pieces dedup by set union, and the derived counters
+(:meth:`stretch_factors`, :meth:`table_sizes`, :meth:`base_lsp_count`)
+are finalized from that state in node-index order.  Workers
+therefore process disjoint scenario chunks and ship
+:meth:`export_state`; the parent :meth:`merge_state`-s them and gets
+results byte-identical to the sequential run, independent of chunking
+or merge order.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Iterable, Optional
 
 from ..core.base_paths import BaseSet
@@ -83,25 +90,33 @@ class IlmAccountant:
         self.base = base
         self.weighted = weighted
         self.csr = shared_csr(graph)
+        oracle = self._aligned_oracle()
+        if oracle is None:
+            raise ValueError(
+                "IlmAccountant needs a base set whose distance oracle "
+                "shares the graph's CSR index space (e.g. "
+                f"UniqueShortestPathsBase); got {type(base).__name__}"
+            )
+        self._oracle = oracle
         if demand_sources is None:
             demand_sources = sorted(graph.nodes, key=repr)
         self.demand_sources = list(demand_sources)
         index = self.csr.index
-        self._source_idx = [index[source] for source in self.demand_sources]
-        self._oracle = self._aligned_oracle()
-        # source idx -> {target idx: primary chain}, built lazily per
-        # source (the parent of a parallel run only ever materializes
-        # chains for demands its workers actually touched).
-        self._chains: dict[int, dict[int, Chain]] = {}
-        # Reverse indices over the demand universe: which demands a
-        # failed link / router disturbs.  Built on first use; makes
-        # process_scenario O(affected) instead of O(universe).
-        self._by_edge: Optional[dict[tuple[int, int], list]] = None
-        self._by_router: Optional[dict[int, list]] = None
+        self._source_idx = list(
+            dict.fromkeys(index[source] for source in self.demand_sources)
+        )
+        self._source_pos = {si: p for p, si in enumerate(self._source_idx)}
+        # The demand universe: each source's primaries are its oracle
+        # predecessor tree.  ``pred`` rows are collected by the
+        # warm-up (or on demand by _finalize); the preorder arrays are
+        # built per source the first time a scenario cuts its tree.
+        self._preds: dict[int, object] = {}
+        self._universe_ready = False
+        self._trees: dict[int, tuple[list[int], list[int], list[int]]] = {}
         # Mergeable accounting state (see the module docstring).
         self._probe_weights: Optional[dict[tuple[int, int], float]] = None
         self._backup_naive = array("l", bytes(array("l").itemsize * self.csr.n))
-        self._primaries_touched: set[tuple[int, int]] = set()
+        self._primaries = bytearray(len(self._source_idx) * self.csr.n)
         self._pieces: set[Chain] = set()
         self._decomp_memo: dict[Chain, Optional[tuple[Chain, ...]]] = {}
         self._final: Optional[tuple[list[int], list[int], int]] = None
@@ -114,16 +129,16 @@ class IlmAccountant:
 
         A worker process reuses one accountant per network/mode across
         every chunk it pulls from the shared work queue: the demand
-        universe (chain indices, reverse edge/router maps, probe
-        weights) and the decomposition memo are pure functions of the
-        network and stay warm, while the per-chunk tallies exported by
-        :meth:`export_state` start from zero so the parent's merge sees
-        each chunk exactly once.
+        universe (each source's predecessor row and preorder tree
+        arrays), the probe weights and the decomposition memo are pure
+        functions of the network and stay warm, while the per-chunk
+        tallies exported by :meth:`export_state` start from zero so the
+        parent's merge sees each chunk exactly once.
         """
         self._backup_naive = array(
             "l", bytes(array("l").itemsize * self.csr.n)
         )
-        self._primaries_touched = set()
+        self._primaries = bytearray(len(self._primaries))
         self._pieces = set()
         self._final = None
         self.scenarios_processed = 0
@@ -143,107 +158,110 @@ class IlmAccountant:
             return None
         return oracle if aligned else None
 
-    def _chains_for(self, si: int) -> dict[int, Chain]:
-        """Primary chains from source *si* to every reachable target.
+    def _pred_row(self, si: int):
+        """Source *si*'s oracle predecessor row: its primaries' tree."""
+        pred = self._preds.get(si)
+        if pred is None:
+            pred = self._preds[si] = self._oracle.row_arrays(
+                self.csr.nodes[si]
+            )[1]
+        return pred
 
-        Fast path: one flat oracle row; every node's chain is built
-        exactly once by extending its predecessor's chain (total work
-        proportional to the sum of chain lengths, no Path objects).
-        Fallback (explicit or index-misaligned base sets): one
-        ``path_for`` per covered pair.
+    def _ensure_universe(self) -> None:
+        """Warm every demand source's oracle row and keep its ``pred``.
+
+        Exactly the row set a parent publishes, so builds inside this
+        phase count as ``warm_row_builds`` — under the reference
+        backend ``warm_many`` is a no-op and ``row_arrays`` builds each
+        row, which is why the ``pred`` fetch stays inside the phase.
         """
-        chains = self._chains.get(si)
-        if chains is not None:
-            return chains
-        nodes, index = self.csr.nodes, self.csr.index
-        if self._oracle is not None:
-            dist, pred = self._oracle.row_arrays(nodes[si])
-            built: dict[int, Chain] = {si: (si,)}
-            for ti, d in enumerate(dist):
-                if d == INF or ti in built:
-                    continue
-                stack = []
-                x = ti
-                while x not in built:
-                    stack.append(x)
-                    x = pred[x]
-                prefix = built[x]
-                for x in reversed(stack):
-                    prefix = prefix + (x,)
-                    built[x] = prefix
-            del built[si]
-            chains = built
-        else:
-            chains = {}
-            source = nodes[si]
-            for ti, target in enumerate(nodes):
-                if ti != si and self.base.has_pair(source, target):
-                    chains[ti] = tuple(
-                        index[node]
-                        for node in self.base.path_for(source, target).nodes
-                    )
-        self._chains[si] = chains
-        return chains
+        if self._universe_ready:
+            return
+        nodes = self.csr.nodes
+        with warm_up_phase():
+            self._oracle.warm_many(nodes[si] for si in self._source_idx)
+            for si in self._source_idx:
+                self._pred_row(si)
+        self._universe_ready = True
+
+    def _tree(self, si: int) -> tuple[list[int], list[int], list[int]]:
+        """``(order, pos, size)``: the preorder of *si*'s primary tree.
+
+        The subtree below a reached node ``x`` — every target whose
+        primary passes through ``x``, ``x`` included — is
+        ``order[pos[x] : pos[x] + size[x]]``.
+        """
+        tree = self._trees.get(si)
+        if tree is not None:
+            return tree
+        pred = self._preds[si]
+        n = self.csr.n
+        children: list[list[int]] = [[] for _ in range(n)]
+        for x, parent in enumerate(pred):
+            if parent >= 0:
+                children[parent].append(x)
+        order: list[int] = []
+        stack = [si]
+        while stack:
+            x = stack.pop()
+            order.append(x)
+            stack.extend(children[x])
+        pos = [-1] * n
+        for k, x in enumerate(order):
+            pos[x] = k
+        size = [1] * n
+        for x in reversed(order[1:]):
+            size[pred[x]] += size[x]
+        tree = self._trees[si] = (order, pos, size)
+        return tree
 
     # -- accounting -----------------------------------------------------------
 
-    def _ensure_indices(self) -> None:
-        if self._by_edge is not None:
-            return
-        by_edge: dict[tuple[int, int], list] = {}
-        by_router: dict[int, list] = {}
-        # Universe warm-up: the oracle rows every demand chain reads
-        # are batch-warmed (and lazily swept by _chains_for) here —
-        # exactly the set a parent publishes, so builds inside this
-        # phase count as warm_row_builds.
-        with warm_up_phase():
-            if self._oracle is not None:
-                nodes = self.csr.nodes
-                self._oracle.warm_many(
-                    nodes[si]
-                    for si in self._source_idx
-                    if si not in self._chains
-                )
-            for si in self._source_idx:
-                self._chains_for(si)
-        for si in self._source_idx:
-            for ti, chain in self._chains_for(si).items():
-                demand = (si, ti)
-                prev = chain[0]
-                for x in chain[1:]:
-                    key = (prev, x) if prev < x else (x, prev)
-                    by_edge.setdefault(key, []).append(demand)
-                    prev = x
-                for x in chain:
-                    by_router.setdefault(x, []).append(demand)
-        self._by_edge = by_edge
-        self._by_router = by_router
-
     def _affected_by(self, scenario: FailureScenario) -> dict[int, list[int]]:
-        """``source idx -> [target idxs]`` of disturbed demands."""
-        self._ensure_indices()
-        assert self._by_edge is not None and self._by_router is not None
+        """``source idx -> [target idxs]`` of disturbed demands.
+
+        A dead link cuts a live source's tree below whichever endpoint
+        the other one parents, and a dead router roots its own subtree
+        (the router stays in it as an unreachable target); a dead
+        source has no flow to restore.  Each root's subtree is one
+        preorder slice; several roots are merged as disjoint intervals
+        (nested subtrees fold into their ancestor's), so no target
+        repeats.
+        """
+        self._ensure_universe()
         index = self.csr.index
-        hit: set[tuple[int, int]] = set()
+        dead_links: list[tuple[int, int]] = []
         for u, v in scenario.links:
             iu, iv = index.get(u), index.get(v)
-            if iu is None or iv is None:
-                continue
-            hit.update(self._by_edge.get((iu, iv) if iu < iv else (iv, iu), ()))
-        dead_routers: set[int] = set()
-        for router in scenario.routers:
-            ri = index.get(router)
-            if ri is None:
-                continue
-            dead_routers.add(ri)
-            hit.update(self._by_router.get(ri, ()))
+            if iu is not None and iv is not None:
+                dead_links.append((iu, iv))
+        dead_routers = {index[r] for r in scenario.routers if r in index}
+        preds = self._preds
         grouped: dict[int, list[int]] = {}
-        for si, ti in hit:
+        for si in self._source_idx:
             if si in dead_routers:
-                # Source down: no flow to restore.  (A dead *target* is
-                # kept and lands in unrestorable — nothing to reach.)
                 continue
-            grouped.setdefault(si, []).append(ti)
+            pred = preds[si]
+            roots = [r for r in dead_routers if pred[r] >= 0]
+            for a, b in dead_links:
+                if pred[b] == a:
+                    roots.append(b)
+                elif pred[a] == b:
+                    roots.append(a)
+            if not roots:
+                continue
+            order, pos, size = self._tree(si)
+            if len(roots) == 1:
+                lo = pos[roots[0]]
+                grouped[si] = order[lo : lo + size[roots[0]]]
+                continue
+            targets: list[int] = []
+            end = 0
+            for lo, root in sorted((pos[r], r) for r in roots):
+                if lo >= end:
+                    end = lo + size[root]
+                    targets.extend(order[lo:end])
+            grouped[si] = targets
         return grouped
 
     def plan_scenarios(
@@ -312,15 +330,14 @@ class IlmAccountant:
         if seg is not None:
             segments.append(seg)
             spt_name = seg.name
-        if self._oracle is not None:
-            ocsr = self._oracle.csr()
-            seg = shm.publish_rows(
-                "oracle", ocsr.n, True, ocsr.source_version,
-                self._oracle.export_rows(),
-            )
-            if seg is not None:
-                segments.append(seg)
-                oracle_name = seg.name
+        ocsr = self._oracle.csr()
+        seg = shm.publish_rows(
+            "oracle", ocsr.n, True, ocsr.source_version,
+            self._oracle.export_rows(),
+        )
+        if seg is not None:
+            segments.append(seg)
+            oracle_name = seg.name
         if spt_name is None and oracle_name is None:
             return None, segments
         return (spt_name, oracle_name), segments
@@ -347,8 +364,8 @@ class IlmAccountant:
     def _decompose_misses(self, misses: list[Chain]) -> None:
         """Memoize the min-pieces decomposition of every chain in *misses*.
 
-        For index-aligned implicit base sets with every edge admitted
-        the whole batch goes through **one** kernel ``decompose_flat``
+        For implicit base sets with every edge admitted the whole
+        batch goes through **one** kernel ``decompose_flat``
         call — an all-array :func:`min_pieces_decompose` that mirrors
         the DP cell-for-cell (same lexicographic objective, same
         first-minimal-``j`` tie-break, same probe arithmetic as
@@ -362,13 +379,12 @@ class IlmAccountant:
         so every prefix is reachable): exactly the union of
         ``chain[:-2]`` rows is warmed and handed over as float64
         buffers, so the oracle counters do not depend on the backend
-        or on how chains are batched.  Other base sets decompose one
-        chain at a time through the Path-based kernel.
+        or on how chains are batched.  Without ``include_all_edges`` a
+        chain may have no decomposition at all; those base sets
+        decompose one chain at a time through the Path-based kernel.
         """
         memo = self._decomp_memo
-        if self._oracle is None or not getattr(
-            self.base, "include_all_edges", False
-        ):
+        if not getattr(self.base, "include_all_edges", False):
             for chain in misses:
                 memo[chain] = self._decompose_path(chain)
             return
@@ -407,7 +423,7 @@ class IlmAccountant:
             memo[chain] = tuple(pieces)
 
     def _decompose_path(self, chain: Chain) -> Optional[tuple[Chain, ...]]:
-        """Path-based decomposition fallback (explicit/unaligned bases)."""
+        """Path-based decomposition (base sets without every edge)."""
         nodes, index = self.csr.nodes, self.csr.index
         backup = Path(nodes[i] for i in chain)
         try:
@@ -436,7 +452,9 @@ class IlmAccountant:
         # touched source re-settled via its cached pre-failure row.
         rows = cache.repair_batch_idx(grouped, scenario)
         backup_naive = self._backup_naive
-        primaries = self._primaries_touched
+        primaries = self._primaries
+        n = self.csr.n
+        source_pos = self._source_pos
         memo = self._decomp_memo
         backups: list[Chain] = []
         misses: dict[Chain, None] = {}
@@ -445,8 +463,9 @@ class IlmAccountant:
             row = rows.get(si)
             dist, pred = row if row is not None else (None, None)
             affected_total += len(targets)
+            offset = source_pos[si] * n
             for ti in targets:
-                primaries.add((si, ti))
+                primaries[offset + ti] = 1
                 if dist is None or dist[ti] == INF:
                     self.demands_unrestorable += 1
                     continue
@@ -519,13 +538,15 @@ class IlmAccountant:
     def export_state(self) -> dict:
         """Mergeable accounting state (picklable; see :meth:`merge_state`).
 
-        Sets are exported sorted so the payload bytes are deterministic
-        for a given scenario chunk regardless of processing order.
+        Pieces are exported sorted and touched primaries as the
+        ``(source position, target idx)`` bitmap, so the payload bytes
+        are deterministic for a given scenario chunk regardless of
+        processing order.
         """
         return {
             "policy": "concatenation",
             "backup_naive": self._backup_naive.tobytes(),
-            "primaries": sorted(self._primaries_touched),
+            "primaries": bytes(self._primaries),
             "pieces": sorted(self._pieces),
             "scenarios": self.scenarios_processed,
             "restored": self.demands_restored,
@@ -550,11 +571,26 @@ class IlmAccountant:
         incoming = array("l")
         incoming.frombytes(state["backup_naive"])
         backup_naive = self._backup_naive
+        if len(incoming) != len(backup_naive):
+            raise ValueError(
+                f"cannot merge ILM state: backup_naive has {len(incoming)} "
+                f"routers, this accountant's network has {len(backup_naive)}"
+            )
+        primaries = state["primaries"]
+        if len(primaries) != len(self._primaries):
+            raise ValueError(
+                f"cannot merge ILM state: primaries bitmap has "
+                f"{len(primaries)} entries, this accountant's demand "
+                f"universe has {len(self._primaries)}"
+            )
         for i, count in enumerate(incoming):
             if count:
                 backup_naive[i] += count
-        self._primaries_touched.update(
-            tuple(demand) for demand in state["primaries"]
+        self._primaries = bytearray(
+            (
+                int.from_bytes(self._primaries, "little")
+                | int.from_bytes(primaries, "little")
+            ).to_bytes(len(primaries), "little")
         )
         self._pieces.update(tuple(chain) for chain in state["pieces"])
         self.scenarios_processed += state["scenarios"]
@@ -576,11 +612,34 @@ class IlmAccountant:
             return final
         naive = list(self._backup_naive)
         base_paths: set[Chain] = set(self._pieces)
-        for si, ti in self._primaries_touched:
-            chain = self._chains_for(si)[ti]
-            for x in chain:
-                naive[x] += 1
-            base_paths.add(chain)
+        n = self.csr.n
+        primaries = self._primaries
+        targets = range(n)
+        for p, si in enumerate(self._source_idx):
+            touched = primaries[p * n : (p + 1) * n]
+            if 1 not in touched:
+                continue
+            pred = self._pred_row(si)
+            # Each chain extends its predecessor's: one pred walk per
+            # node, however many touched targets lie below it.
+            built: dict[int, Chain] = {si: (si,)}
+            for ti in compress(targets, touched):
+                stack = []
+                x = ti
+                while x not in built:
+                    if x < 0:
+                        raise ValueError(
+                            f"touched primary {si}->{ti} is not in the "
+                            "demand universe"
+                        )
+                    stack.append(x)
+                    x = pred[x]
+                prefix = built[x]
+                for x in reversed(stack):
+                    prefix = built[x] = prefix + (x,)
+                for x in prefix:
+                    naive[x] += 1
+                base_paths.add(prefix)
         base_counter = [0] * self.csr.n
         for chain in base_paths:
             for x in chain:

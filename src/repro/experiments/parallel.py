@@ -555,8 +555,10 @@ def _network(scale: str, seed: int, index: int):
 
 
 #: Worker-process memo of (accountant, scenario list) per ILM fan-out
-#: configuration — the demand universe and decomposition memo are
-#: chunk-invariant, so a worker pays for them once per network/mode.
+#: configuration — the demand universe (per-source ``pred`` rows, mostly
+#: adopted from the parent's published oracle rows, and the preorder
+#: tree arrays built as scenarios cut them) and the decomposition memo
+#: are chunk-invariant, so a worker pays for them once per network/mode.
 _ILM_ACCOUNTANTS: dict = {}
 
 
