@@ -6,7 +6,10 @@ Times the pieces the fast restoration pipeline is built from:
 * full array Dijkstra/BFS vs. the dict kernels they displaced,
 * decremental SPT repair after k = 1..3 link failures vs. recomputing
   the row from scratch — the tentpole trade the experiment hot loops
-  now make per failure case.
+  now make per failure case.  The standalone run times
+  ``SptCache.repaired_row`` (typed cached row, memoized preorder,
+  affected preorder slices), after asserting its row equals the
+  python reference's from-scratch row bit for bit.
 
 Also runnable directly — ``python benchmarks/bench_csr.py`` — to emit
 ``results/BENCH_csr.json`` in the established BENCH schema (timings +
@@ -29,8 +32,9 @@ from repro.graph.csr import (
     dijkstra_csr,
     dijkstra_csr_canonical,
 )
-from repro.graph.incremental import repair_spt
+from repro.graph.incremental import SptCache, repair_spt
 from repro.graph.shortest_paths import bfs_shortest_paths, dijkstra
+from repro.kernels import python_backend as pyk
 from repro.perf import COUNTERS
 
 
@@ -153,20 +157,25 @@ def main(argv=None) -> None:
     )
     results["bfs_csr_full_s"] = _timed(bfs_csr, base, src, repeat=args.repeat)
 
-    dist, pred, _ = dijkstra_csr_canonical(base, src)
+    # Repair as the experiment loops pay for it: SptCache's typed
+    # pre-failure row and memoized preorder, the affected preorder
+    # slices, one re-settle into a fresh row.
+    cache = SptCache(graph, weighted=True)
+    cache.row(source)
     for k in (1, 2, 3):
-        view = csr.with_edges_removed(
-            _failures(graph, k, seed=5 + k, source=source)
-        )
+        failed = _failures(graph, k, seed=5 + k, source=source)
+        view = csr.with_edges_removed(failed)
         results[f"scratch_row_k{k}_s"] = _timed(
             dijkstra_csr_canonical, view, src, repeat=args.repeat
         )
+        cache_view = cache.csr.with_edges_removed(failed)
+        repaired = cache.repaired_row(source, cache_view)
+        want_dist, want_pred, _ = pyk.dijkstra_canonical(view, src)
+        assert list(repaired[0]) == want_dist, f"repair dist mismatch at k={k}"
+        assert list(repaired[1]) == want_pred, f"repair pred mismatch at k={k}"
         results[f"spt_repair_k{k}_s"] = _timed(
-            repair_spt, view, src, dist, pred, repeat=args.repeat
+            cache.repaired_row, source, cache_view, repeat=args.repeat
         )
-        repaired, _ = repair_spt(view, src, dist, pred)
-        want, _, _ = dijkstra_csr_canonical(view, src)
-        assert repaired == want, f"repair mismatch at k={k}"
 
     payload = {
         "name": "csr",

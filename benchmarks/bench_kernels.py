@@ -13,8 +13,12 @@ outputs while it measures:
 * **targeted early-exit searches** — ``dijkstra_canonical`` with a
   small target set, the ``fast_shortest_path`` probe shape numpy hands
   back to the reference loop by design;
+* **tree preorder** — the ``(order, pos, size)`` layout ``SptCache``
+  builds once per cached row (numpy delegates to the reference);
 * **SPT re-settle** — Ramalingam–Reps repair vs. the boundary-offer
-  loop, on hub failures with large affected subtrees;
+  loop, on hub failures with large affected subtrees, fed the typed
+  pre-failure row and the affected preorder slice exactly as
+  ``SptCache`` feeds it;
 * **flat ILM decomposition** — one batched ``decompose_flat`` call
   over a real two-link scenario's decomposition-memo misses on the
   weighted ISP (the call per-link ILM accounting makes once per
@@ -34,8 +38,10 @@ import argparse
 import random
 import statistics
 import time
+from array import array
 
 from repro.graph.csr import as_view, shared_csr
+from repro.graph.incremental import subtree_spans
 from repro.kernels import available_backends
 from repro.kernels import python_backend as pyk
 from repro.perf import COUNTERS
@@ -152,49 +158,47 @@ def _repair_entry(name, mod):
     return mod._repair_resettle_vec if name == "numpy" else mod.repair_resettle
 
 
+def _blank_row(n):
+    """An ``array('d')``/``array('q')`` pair for a kernel to write a row into."""
+    return array("d", bytes(8 * n)), array("q", bytes(8 * n))
+
+
 def _repair_section(results, graph, repeat):
-    """Hub failure: kill the highest-degree tree edge near the source."""
+    """Hub failure: kill the tree edge above the largest subtree.
+
+    The inputs are the ones ``SptCache`` hands the kernel: the typed
+    pre-failure row, its preorder, and the affected preorder slice.
+    The preorder build itself is timed as its own section.
+    """
     csr = shared_csr(graph)
     base = as_view(csr)
     nodes = csr.nodes
-    dist, pred, _ = pyk.dijkstra_canonical(base, 0)
-    children: dict[int, list[int]] = {}
-    for v in range(csr.n):
-        if pred[v] >= 0:
-            children.setdefault(pred[v], []).append(v)
-
-    def subtree(root):
-        out, stack = set(), [root]
-        while stack:
-            x = stack.pop()
-            if x not in out:
-                out.add(x)
-                stack.extend(children.get(x, ()))
-        return out
-
-    victim = max(
-        (v for v in range(csr.n) if pred[v] >= 0), key=lambda v: len(subtree(v))
-    )
-    affected = subtree(victim)
-    affected.discard(0)
+    dist, pred, _ = pyk.dijkstra_canonical(base, 0, None, _blank_row(csr.n))
+    ref_tree = pyk.preorder(pred, 0)
+    results["preorder_python_s"] = _timed(lambda: pyk.preorder(pred, 0), repeat)
+    for name, mod in BACKENDS.items():
+        assert mod.preorder(pred, 0) == ref_tree, f"preorder: {name} disagrees"
+        if mod.preorder is not pyk.preorder:
+            results[f"preorder_{name}_s"] = _timed(
+                lambda mod=mod: mod.preorder(pred, 0), repeat
+            )
+    order, pos, size = ref_tree
+    victim = max(order[1:], key=size.__getitem__)
+    spans, count = subtree_spans(pos, size, [victim])
     view = base.without(edges=[(nodes[pred[victim]], nodes[victim])])
-    results["repair_affected_nodes"] = len(affected)
-    ref = pyk.repair_resettle(view, 0, list(dist), list(pred), set(affected), False)
-    results["repair_python_s"] = _timed(
-        lambda: pyk.repair_resettle(
-            view, 0, list(dist), list(pred), set(affected), False
-        ),
-        repeat,
-    )
+    results["repair_affected_nodes"] = count
+
+    def run(entry):
+        return entry(view, 0, dist, pred, order, spans, False, out)
+
+    out = _blank_row(csr.n)
+    ref = tuple(a[:] for a in run(pyk.repair_resettle))
+    results["repair_python_s"] = _timed(lambda: run(pyk.repair_resettle), repeat)
     for name, mod in BACKENDS.items():
         entry = _repair_entry(name, mod)
-        got = entry(view, 0, list(dist), list(pred), set(affected), False)
-        assert got == ref, f"repair: {name} disagrees"
+        assert run(entry) == ref, f"repair: {name} disagrees"
         results[f"repair_{name}_s"] = _timed(
-            lambda entry=entry: entry(
-                view, 0, list(dist), list(pred), set(affected), False
-            ),
-            repeat,
+            lambda entry=entry: run(entry), repeat
         )
 
 

@@ -67,6 +67,7 @@ from ..exceptions import DecompositionError
 from ..failures.models import FailureScenario
 from ..graph.csr import INF, shared_csr
 from ..graph.graph import Graph, Node
+from ..graph.incremental import preorder, subtree_spans
 from ..graph.paths import Path
 from ..kernels import kernel_backend
 from ..obs import heartbeat
@@ -112,7 +113,7 @@ class IlmAccountant:
         # built per source the first time a scenario cuts its tree.
         self._preds: dict[int, object] = {}
         self._universe_ready = False
-        self._trees: dict[int, tuple[list[int], list[int], list[int]]] = {}
+        self._trees: dict[int, tuple[array, array, array]] = {}
         # Mergeable accounting state (see the module docstring).
         self._probe_weights: Optional[dict[tuple[int, int], float]] = None
         self._backup_naive = array("l", bytes(array("l").itemsize * self.csr.n))
@@ -184,35 +185,17 @@ class IlmAccountant:
                 self._pred_row(si)
         self._universe_ready = True
 
-    def _tree(self, si: int) -> tuple[list[int], list[int], list[int]]:
+    def _tree(self, si: int) -> tuple[array, array, array]:
         """``(order, pos, size)``: the preorder of *si*'s primary tree.
 
         The subtree below a reached node ``x`` — every target whose
         primary passes through ``x``, ``x`` included — is
-        ``order[pos[x] : pos[x] + size[x]]``.
+        ``order[pos[x] : pos[x] + size[x]]``
+        (:func:`~repro.graph.incremental.preorder`).
         """
         tree = self._trees.get(si)
-        if tree is not None:
-            return tree
-        pred = self._preds[si]
-        n = self.csr.n
-        children: list[list[int]] = [[] for _ in range(n)]
-        for x, parent in enumerate(pred):
-            if parent >= 0:
-                children[parent].append(x)
-        order: list[int] = []
-        stack = [si]
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            stack.extend(children[x])
-        pos = [-1] * n
-        for k, x in enumerate(order):
-            pos[x] = k
-        size = [1] * n
-        for x in reversed(order[1:]):
-            size[pred[x]] += size[x]
-        tree = self._trees[si] = (order, pos, size)
+        if tree is None:
+            tree = self._trees[si] = preorder(self._preds[si], si)
         return tree
 
     # -- accounting -----------------------------------------------------------
@@ -251,16 +234,10 @@ class IlmAccountant:
             if not roots:
                 continue
             order, pos, size = self._tree(si)
-            if len(roots) == 1:
-                lo = pos[roots[0]]
-                grouped[si] = order[lo : lo + size[roots[0]]]
-                continue
+            spans, _ = subtree_spans(pos, size, roots)
             targets: list[int] = []
-            end = 0
-            for lo, root in sorted((pos[r], r) for r in roots):
-                if lo >= end:
-                    end = lo + size[root]
-                    targets.extend(order[lo:end])
+            for k in range(0, len(spans), 2):
+                targets += order[spans[k] : spans[k + 1]]
             grouped[si] = targets
         return grouped
 

@@ -6,12 +6,15 @@ every node; but deleting k edges only invalidates the *subtree hanging
 below them* in the pre-failure SPT — usually a few dozen nodes.  This
 module repairs cached pre-failure distance/predecessor arrays instead:
 
-1. **Affected set** — walk the pre-failure predecessor tree (children
-   lists are rebuilt in O(n) from the pred array) and collect the
-   descendants of every deleted tree edge / failed node.  Nodes outside
-   this set keep their exact distance *and* canonical predecessor:
-   their old shortest path is untouched, and no distance anywhere ever
-   decreases under deletion, so no new parent can beat the old one.
+1. **Affected set** — the descendants of every deleted tree edge /
+   failed node in the pre-failure predecessor tree.  Each source's
+   tree is laid out once in preorder (:func:`preorder`), so the
+   subtree below a node is one contiguous slice of that order and the
+   affected set is a union of a few slices (:func:`subtree_spans`),
+   found in O(k) for k failures.  Nodes outside this set keep their
+   exact distance *and* canonical predecessor: their old shortest path
+   is untouched, and no distance anywhere ever decreases under
+   deletion, so no new parent can beat the old one.
 2. **Boundary offers** — every surviving edge from an unaffected node
    into the affected set is a candidate re-attachment; seed a bounded
    heap with those offers.
@@ -28,7 +31,10 @@ module repairs cached pre-failure distance/predecessor arrays instead:
    abandon it and recompute (counted in ``COUNTERS.spt_fallbacks``).
 
 :class:`SptCache` wraps the bookkeeping per graph: it owns the CSR
-snapshot, memoizes pre-failure rows per source, and exposes
+snapshot, memoizes pre-failure rows per source as the typed buffers
+the kernels write (``array('d')``/``array('q')``, or read-only views of
+rows adopted from shared memory), memoizes each row's preorder, and
+exposes
 :meth:`SptCache.backup_path` — the restoration-path query the
 experiment hot loops use.  Under the canonical ``(dist, index)`` tie
 contract (:mod:`repro.graph.csr`), repaired rows are exact for
@@ -39,7 +45,9 @@ arXiv:2102.10174).  A backup path is therefore just the predecessor
 chain of one repaired source row; when the fallback threshold trips,
 one targeted early-exit canonical search yields the identical chain
 (tight parents settle before their children, so the settled prefix is
-final).  :meth:`SptCache.repair_batch` amortizes one failure scenario
+final).  Both write into scratch rows the cache owns, and the query
+walks the target's chain out of them: no n-length row is copied or
+converted per query.  :meth:`SptCache.repair_batch` amortizes one failure scenario
 across every source it touches: the dead-edge slots are decoded once
 and every affected source is re-settled in the same pass — the
 multi-source consumer is the per-scenario ILM accounting.
@@ -48,6 +56,7 @@ multi-source consumer is the per-scenario ILM accounting.
 from __future__ import annotations
 
 import os
+from array import array
 from typing import Iterable, Optional
 
 from ..exceptions import NoPath
@@ -67,9 +76,9 @@ from .shortest_paths import shortest_path
 
 #: Repair aborts in favour of a full recompute once the affected set
 #: exceeds this fraction of the source's reachable nodes.  Repair does
-#: strictly more per-node work than a fresh run (children lists, offer
-#: scans), and the targeted alternative may exit early, so past ~half
-#: the graph the fresh run wins; typical failure cases are far below
+#: strictly more per-node work than a fresh run (offer scans, region
+#: membership tests), and the targeted alternative may exit early, so
+#: past ~half the graph the fresh run wins; typical failure cases are far below
 #: this, making the fallback a safety valve for pathological cuts
 #: (e.g. failing a hub router).  The default was re-tuned from 0.25
 #: when weighted repair became legal under the canonical tie contract
@@ -102,14 +111,76 @@ def set_repair_fallback_fraction(value: float) -> float:
     return old
 
 
-def _children_lists(pred: list[int], n: int) -> list[list[int]]:
-    """Invert a predecessor array into per-node children lists, O(n)."""
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        p = pred[v]
-        if p >= 0:
-            children[p].append(v)
-    return children
+def preorder(pred, root: int) -> tuple[array, array, array]:
+    """``(order, pos, size)``: the preorder of the tree *pred* hangs below *root*.
+
+    Three ``array('q')``: ``order`` lists the nodes the tree reaches,
+    ``pos[x]`` is ``x``'s place in it and ``size[x]`` its subtree size
+    (-1 and 0 for unreached nodes), so the subtree below a reached
+    ``x`` — every node whose tree path runs through ``x``, ``x``
+    included — is ``order[pos[x] : pos[x] + size[x]]``, and
+    ``size[root]`` counts the reachable nodes.  Built by the kernel
+    backend (one O(n) pass; native on the native backend).
+    """
+    return kernel_backend().preorder(pred, root)
+
+
+_NO_SPANS = array("q")
+
+
+def subtree_spans(pos, size, roots: Iterable[int]) -> tuple[array, int]:
+    """The union of the subtrees below *roots* as preorder slices.
+
+    Returns ``(spans, count)``: ``spans`` is a flat ``array('q')``
+    ``[lo0, hi0, lo1, hi1, ...]`` of disjoint, ascending slices of the
+    preorder (a root inside another root's subtree folds into it, so
+    no node repeats) and ``count`` the number of nodes they cover.
+    Every root must be reached (``pos[root] >= 0``).
+    """
+    spans = array("q")
+    count = 0
+    end = 0
+    for lo, root in sorted((pos[r], r) for r in roots):
+        if lo >= end:
+            end = lo + size[root]
+            spans.append(lo)
+            spans.append(end)
+            count += end - lo
+    return spans, count
+
+
+def _cut_spans(
+    pred, pos, size, pairs: Iterable[tuple[int, int]], dead_nodes
+) -> tuple[array, int]:
+    """Affected preorder slices of one tree under a failure mask.
+
+    A dead pair ``(u, v)`` (either orientation) cuts the tree below
+    ``v`` when ``pred[v] == u`` and below ``u`` when ``pred[u] == v``;
+    every reached dead node roots its own subtree (dead nodes stay in
+    the set so callers can blank their labels).
+    """
+    roots = [x for x in dead_nodes if pos[x] >= 0]
+    for u, v in pairs:
+        if pred[v] == u:
+            roots.append(v)
+        if pred[u] == v:
+            roots.append(u)
+    if not roots:
+        return _NO_SPANS, 0
+    return subtree_spans(pos, size, roots)
+
+
+def _blank_row(n: int) -> tuple[array, array]:
+    """A fresh ``(array('d'), array('q'))`` pair of length *n* for a kernel to fill."""
+    return array("d", bytes(8 * n)), array("q", bytes(8 * n))
+
+
+def _copy_row(dist, pred) -> tuple[array, array]:
+    """Fresh typed copies of a cached (possibly read-only) row."""
+    new_dist, new_pred = array("d"), array("q")
+    new_dist.frombytes(memoryview(dist).cast("B"))
+    new_pred.frombytes(memoryview(pred).cast("B"))
+    return new_dist, new_pred
 
 
 def dead_edge_pairs(view: CsrView) -> list[tuple[int, int]]:
@@ -134,48 +205,6 @@ def dead_edge_pairs(view: CsrView) -> list[tuple[int, int]]:
     return pairs
 
 
-def affected_subtree(
-    dist: list[float],
-    pred: list[int],
-    n: int,
-    dead_edge_pairs: Iterable[tuple[int, int]],
-    dead_nodes: Iterable[int],
-    children: Optional[list[list[int]]] = None,
-) -> set[int]:
-    """Nodes whose pre-failure shortest path used a deleted edge/node.
-
-    *dead_edge_pairs* are (u, v) index pairs (either orientation);
-    a tree edge is cut when ``pred[v] == u`` or ``pred[u] == v``.  The
-    affected set is the union of subtrees rooted at the cut points plus
-    every failed node's subtree (failed nodes themselves are included so
-    callers can blank their labels).
-
-    *children* lets callers reuse a prebuilt children-list inversion of
-    *pred* (it depends only on the pre-failure tree, so per-source
-    caches amortize the O(n) inversion across failure cases).
-    """
-    if children is None:
-        children = _children_lists(pred, n)
-    roots: list[int] = []
-    for u, v in dead_edge_pairs:
-        if pred[v] == u:
-            roots.append(v)
-        if pred[u] == v:
-            roots.append(u)
-    for x in dead_nodes:
-        if dist[x] != INF:
-            roots.append(x)
-    affected: set[int] = set()
-    stack = [r for r in roots if r not in affected]
-    while stack:
-        x = stack.pop()
-        if x in affected:
-            continue
-        affected.add(x)
-        stack.extend(children[x])
-    return affected
-
-
 def _full_row(
     view: CsrView, source: int, unit: bool
 ) -> tuple[list[float], list[int]]:
@@ -189,10 +218,9 @@ def _full_row(
 def repair_spt(
     view: CsrView,
     source: int,
-    dist: list[float],
-    pred: list[int],
+    dist,
+    pred,
     fallback_fraction: Optional[float] = None,
-    affected: Optional[set[int]] = None,
     unit: bool = False,
 ) -> tuple[list[float], list[int]]:
     """Repair a canonical pre-failure SPT after the deletions in *view*.
@@ -202,97 +230,99 @@ def repair_spt(
     *view*'s underlying snapshot with no mask — or by
     :func:`~repro.graph.csr.bfs_csr` with ``unit=True``, which makes the
     repair relax hop counts instead of stored edge weights.  Returns
-    fresh ``(dist, pred)`` arrays for the masked graph — distances
+    fresh ``(dist, pred)`` lists for the masked graph — distances
     bitwise identical to re-running from scratch on *view*.  The inputs
     are never mutated.
 
-    *affected* may carry a precomputed :func:`affected_subtree` result;
-    the caller then guarantees *source* is not in it and has already
-    applied its own fallback policy (no threshold check happens here).
-    *fallback_fraction* defaults to the process-wide
-    :data:`REPAIR_FALLBACK_FRACTION` knob, read at call time.
+    The one-shot form of :class:`SptCache`'s repair: it lays out
+    *pred*'s preorder, takes the affected slices, applies the fallback
+    policy and re-settles.  *fallback_fraction* defaults to the
+    process-wide :data:`REPAIR_FALLBACK_FRACTION` knob, read at call
+    time.
 
     Each repair bumps ``COUNTERS.spt_repairs``; the number of re-settled
     vertices (the honest per-failure work) accumulates into
     ``COUNTERS.spt_nodes_resettled``; threshold aborts into
     ``COUNTERS.spt_fallbacks`` before delegating to the full kernel.
     """
-    n = view.csr.n
-
-    if affected is None:
-        if fallback_fraction is None:
-            fallback_fraction = REPAIR_FALLBACK_FRACTION
-        affected = affected_subtree(
-            dist, pred, n, dead_edge_pairs(view), view.dead_nodes
-        )
-        if source in affected:
-            # The source itself failed; nothing to repair from.
-            return _full_row(view, source, unit)
-        reachable = sum(1 for d in dist if d != INF)
-        if affected and len(affected) > fallback_fraction * max(1, reachable):
-            COUNTERS.spt_fallbacks += 1
-            return _full_row(view, source, unit)
-
+    if source in view.dead_nodes:
+        # The source itself failed; nothing to repair from.
+        return _full_row(view, source, unit)
+    if fallback_fraction is None:
+        fallback_fraction = REPAIR_FALLBACK_FRACTION
+    order, pos, size = preorder(pred, source)
+    spans, count = _cut_spans(
+        pred, pos, size, dead_edge_pairs(view), view.dead_nodes
+    )
+    if count > fallback_fraction * max(1, size[source]):
+        COUNTERS.spt_fallbacks += 1
+        return _full_row(view, source, unit)
     COUNTERS.spt_repairs += 1
-    if not affected:
+    if not count:
         # No deleted edge was a tree edge: the SPT survives as-is.
         return list(dist), list(pred)
-
-    # Boundary offers + bounded re-settle live in the kernel backend
-    # (:mod:`repro.kernels`): the reference backend runs the historical
-    # heap loop, the vectorized one relaxes the affected region to
-    # fixpoint — both return bit-identical arrays and counters.
-    return kernel_backend().repair_resettle(
-        view, source, dist, pred, affected, unit
+    new_dist, new_pred = kernel_backend().repair_resettle(
+        view, source, dist, pred, order, spans, unit,
+        _blank_row(view.csr.n),
     )
+    return new_dist.tolist(), new_pred.tolist()
 
 
 class SptCache:
     """Per-graph cache of pre-failure SPT rows with repair-based queries.
 
     Owns the CSR snapshot of an (undirected) graph and memoizes one
-    canonical pre-failure ``(dist, pred)`` row per requested source.
-    Failure-case queries then cost one :func:`repair_spt` per cached
-    endpoint instead of a full search.  The cache holds rows for the
-    *unmasked* graph only — masks arrive per query.
+    canonical pre-failure ``(dist, pred)`` row per requested source,
+    plus that row's tree preorder.  Failure-case queries then cost one
+    re-settle of the affected preorder slices per cached endpoint
+    instead of a full search.  The cache holds rows for the *unmasked*
+    graph only — masks arrive per query.
     """
 
-    __slots__ = (
-        "csr", "weighted", "_rows", "_children", "_reachable", "_spent",
-        "_sizes",
-    )
+    __slots__ = ("csr", "weighted", "_rows", "_trees", "_spent", "_scratch")
 
     def __init__(self, graph, weighted: bool = True) -> None:
         self.csr = shared_csr(graph)
         self.weighted = weighted
-        self._rows: dict[int, tuple[list[float], list[int]]] = {}
-        # Per-source inversions of the pre-failure pred array and
-        # reachable-node counts: both depend only on the cached row, so
-        # they amortize across every failure case touching that source.
-        self._children: dict[int, list[list[int]]] = {}
-        self._reachable: dict[int, int] = {}
-        # Per-source subtree sizes of the pre-failure SPT (cost model).
-        self._sizes: dict[int, list[int]] = {}
+        # Rows are typed buffers: kernel-written arrays, or read-only
+        # views of rows adopted from shared memory.
+        self._rows: dict[int, tuple] = {}
+        # Per-source preorder of the pre-failure tree (see preorder()):
+        # it depends only on the cached row, so it amortizes across
+        # every failure case touching that source.
+        self._trees: dict[int, tuple[array, array, array]] = {}
         # Rent-to-buy ledger for backup_path: settle work spent on
         # targeted searches per source *before* its row exists.
         self._spent: dict[int, int] = {}
+        # The row backup_path's searches and repairs write into; a
+        # query only reads one chain out of it, so it is never handed
+        # out (repaired_row and repair_batch_idx return fresh rows).
+        self._scratch: Optional[tuple[array, array]] = None
 
-    def row(self, source: Node) -> tuple[list[float], list[int]]:
+    def row(self, source: Node) -> tuple:
         """The pre-failure canonical ``(dist, pred)`` arrays for *source*."""
         return self._row(self.csr.index[source])
 
-    def _row(self, i: int) -> tuple[list[float], list[int]]:
+    def _row(self, i: int) -> tuple:
         row = self._rows.get(i)
         if row is None:
+            backend = kernel_backend()
             base = CsrView(self.csr)
+            out = _blank_row(self.csr.n)
             if self.weighted:
-                dist, pred, _ = dijkstra_csr_canonical(base, i)
+                row = backend.dijkstra_canonical(base, i, None, out)[:2]
             else:
-                dist, pred = bfs_csr(base, i)
-            row = (dist, pred)
+                row = backend.bfs(base, i, -1, out)
             self._rows[i] = row
             COUNTERS.warm_row_builds += 1
         return row
+
+    def _tree(self, i: int) -> tuple[array, array, array]:
+        """``(order, pos, size)`` of *i*'s pre-failure tree, memoized."""
+        tree = self._trees.get(i)
+        if tree is None:
+            tree = self._trees[i] = preorder(self._row(i)[1], i)
+        return tree
 
     def warm_rows(self, source_idxs: Iterable[int]) -> None:
         """Batch-build missing pre-failure rows where the backend can.
@@ -311,7 +341,8 @@ class SptCache:
                 CsrView(self.csr), missing, not self.weighted
             )
             if built:
-                self._rows.update(built)
+                for i, (dist, pred) in built.items():
+                    self._rows[i] = (array("d", dist), array("q", pred))
                 COUNTERS.warm_row_builds += len(built)
 
     def ensure_rows(self, source_idxs: Iterable[int]) -> None:
@@ -328,7 +359,7 @@ class SptCache:
         for i in idxs:
             self._row(i)
 
-    def export_rows(self) -> dict[int, tuple[list[float], list[int]]]:
+    def export_rows(self) -> dict[int, tuple]:
         """Every cached pre-failure row, keyed by CSR source index.
 
         The publication payload for :func:`repro.graph.shm.publish_rows`
@@ -387,50 +418,28 @@ class SptCache:
         i: int,
         view: CsrView,
         pairs: Optional[list[tuple[int, int]]] = None,
-    ) -> set[int]:
-        """Affected subtree of *i*'s cached row under *view*'s mask.
+    ) -> tuple[array, int]:
+        """Affected ``(spans, count)`` of *i*'s cached tree under *view*'s mask.
 
-        *pairs* lets batched callers reuse one ``dead_edge_pairs``
-        decode of the scenario across every source it touches.
+        The preorder slices :func:`subtree_spans` returns.  *pairs*
+        lets batched callers reuse one ``dead_edge_pairs`` decode of the
+        scenario across every source it touches.
         """
-        dist, pred = self._row(i)
-        children = self._children.get(i)
-        if children is None:
-            children = self._children[i] = _children_lists(pred, self.csr.n)
+        pred = self._row(i)[1]
+        _, pos, size = self._tree(i)
         if pairs is None:
             pairs = dead_edge_pairs(view)
-        return affected_subtree(
-            dist, pred, self.csr.n, pairs, view.dead_nodes,
-            children=children,
-        )
+        return _cut_spans(pred, pos, size, pairs, view.dead_nodes)
 
-    def subtree_sizes(self, i: int) -> list[int]:
+    def subtree_sizes(self, i: int) -> array:
         """Subtree size of every node in *i*'s pre-failure SPT.
 
         ``sizes[v]`` counts the nodes whose shortest path from the
         source routes through *v* (including *v* itself); unreachable
-        nodes get 0.  Computed in one pass over the reachable nodes in
-        descending-distance order — under positive edge weights a
-        child's label is strictly larger than its parent's, so each
-        node's total is final before it is pushed onto its parent.
-        Memoized per source alongside the children lists.
+        nodes get 0.  The ``size`` array of the memoized preorder, so
+        exact under zero-weight edges too.
         """
-        sizes = self._sizes.get(i)
-        if sizes is None:
-            dist, pred = self._row(i)
-            sizes = [0] * self.csr.n
-            order = sorted(
-                (v for v in range(self.csr.n) if dist[v] != INF),
-                key=dist.__getitem__,
-                reverse=True,
-            )
-            for v in order:
-                sizes[v] += 1
-                p = pred[v]
-                if p >= 0:
-                    sizes[p] += sizes[v]
-            self._sizes[i] = sizes
-        return sizes
+        return self._tree(i)[2]
 
     def repair_cost_estimate(
         self,
@@ -447,48 +456,53 @@ class SptCache:
         reachable-node count (which is also the fallback recompute
         cost).  Pure arithmetic over cached rows: no search work.
         """
-        dist, pred = self._row(i)
-        sizes = self.subtree_sizes(i)
+        pred = self._row(i)[1]
+        size = self.subtree_sizes(i)
         cost = 0
         for u, v in dead_pairs:
             if pred[v] == u:
-                cost += sizes[v]
+                cost += size[v]
             elif pred[u] == v:
-                cost += sizes[u]
+                cost += size[u]
         for x in dead_nodes:
-            if dist[x] != INF:
-                cost += sizes[x]
-        reachable = self._reachable.get(i)
-        if reachable is None:
-            reachable = self._reachable[i] = sum(
-                1 for d in dist if d != INF
-            )
-        return min(cost, reachable)
+            cost += size[x]  # 0 when unreached
+        return min(cost, size[i])
 
-    def _repair_viable(self, i: int, affected: set[int]) -> bool:
+    def _repair_viable(self, i: int, count: int, view: CsrView) -> bool:
         """Apply the fallback policy: small-enough affected set, live source."""
-        if i in affected:
+        if i in view.dead_nodes:
             return False
-        reachable = self._reachable.get(i)
-        if reachable is None:
-            dist = self._row(i)[0]
-            reachable = self._reachable[i] = sum(
-                1 for d in dist if d != INF
-            )
-        if len(affected) > REPAIR_FALLBACK_FRACTION * max(1, reachable):
+        reachable = self.subtree_sizes(i)[i]
+        if count > REPAIR_FALLBACK_FRACTION * max(1, reachable):
             COUNTERS.spt_fallbacks += 1
             return False
         return True
 
-    def repaired_row(
-        self, source: Node, view: CsrView
-    ) -> tuple[list[float], list[int]]:
+    def _resettle(self, i: int, view: CsrView, spans: array, out) -> tuple:
+        """One counted repair of *i*'s row over *spans*, written into *out*."""
+        COUNTERS.spt_repairs += 1
+        dist, pred = self._row(i)
+        return kernel_backend().repair_resettle(
+            view, i, dist, pred, self._tree(i)[0], spans,
+            not self.weighted, out,
+        )
+
+    def _repaired(self, i: int, view: CsrView, spans: array, count: int):
+        """Fresh post-failure row of *i* from a viable repair."""
+        if not count:
+            # Tree untouched by the mask: a copy of the cached row.
+            COUNTERS.spt_repairs += 1
+            return _copy_row(*self._row(i))
+        return self._resettle(i, view, spans, _blank_row(self.csr.n))
+
+    def repaired_row(self, source: Node, view: CsrView) -> tuple:
         """Post-failure ``(dist, pred)`` for *source* under *view*'s mask.
 
         Repairs the cached pre-failure row when the affected subtree is
         small; recomputes from scratch when the source died or the
         fallback threshold trips.  Either way the arrays are bitwise
-        identical to a from-scratch canonical run on *view*.
+        identical to a from-scratch canonical run on *view*, and a
+        repaired row is the caller's own (fresh arrays).
         """
         return self._repaired_row_idx(self.csr.index[source], view)
 
@@ -497,16 +511,13 @@ class SptCache:
         i: int,
         view: CsrView,
         pairs: Optional[list[tuple[int, int]]] = None,
-    ) -> tuple[list[float], list[int]]:
-        dist, pred = self._row(i)
+    ) -> tuple:
         if not view.dead_edges and not view.dead_nodes:
-            return dist, pred
-        affected = self._affected(i, view, pairs=pairs)
-        if not self._repair_viable(i, affected):
+            return self._row(i)
+        spans, count = self._affected(i, view, pairs=pairs)
+        if not self._repair_viable(i, count, view):
             return _full_row(view, i, not self.weighted)
-        return repair_spt(
-            view, i, dist, pred, affected=affected, unit=not self.weighted
-        )
+        return self._repaired(i, view, spans, count)
 
     def repair_batch(
         self, sources: Iterable[Node], scenario_or_view
@@ -553,12 +564,12 @@ class SptCache:
         if not view.dead_edges and not view.dead_nodes:
             return {i: self._row(i) for i in idxs}
         pairs = dead_edge_pairs(view)
-        affected_by: dict[int, set[int]] = {}
+        cuts: dict[int, tuple[array, int]] = {}
         fallbacks: list[int] = []
         for i in idxs:
-            affected = self._affected(i, view, pairs=pairs)
-            if self._repair_viable(i, affected):
-                affected_by[i] = affected
+            spans, count = self._affected(i, view, pairs=pairs)
+            if self._repair_viable(i, count, view):
+                cuts[i] = (spans, count)
             else:
                 fallbacks.append(i)
         full = (
@@ -566,21 +577,17 @@ class SptCache:
             if len(fallbacks) > 1
             else None
         )
-        rows: dict[int, tuple[list[float], list[int]]] = {}
+        rows: dict[int, tuple] = {}
         for i in idxs:
-            affected = affected_by.get(i)
-            if affected is None:
+            cut = cuts.get(i)
+            if cut is None:
                 rows[i] = (
                     full[i]
                     if full is not None
                     else _full_row(view, i, not self.weighted)
                 )
             else:
-                dist, pred = self._row(i)
-                rows[i] = repair_spt(
-                    view, i, dist, pred,
-                    affected=affected, unit=not self.weighted,
-                )
+                rows[i] = self._repaired(i, view, *cut)
         return rows
 
     def view_for(self, scenario_or_view) -> CsrView:
@@ -621,21 +628,22 @@ class SptCache:
             raise NoPath(f"no path from {source!r} to {target!r}")
         return Path(_chain(self.csr, pred, s, t))
 
-    def _backup_row(
-        self, s: int, t: int, view: CsrView
-    ) -> tuple[list[float], list[int]]:
+    def _backup_row(self, s: int, t: int, view: CsrView) -> tuple:
         """Repaired source row, or one targeted search when not viable.
 
         Rent-to-buy: while *s* has no cached row, targeted early-exit
         searches answer (renting); their settle work accrues in
-        ``_spent``, and only once a source has paid about one full
-        row's worth does the cache build the row and switch to repair
-        (buying).  One-shot sources — table3 bypasses each edge of the
-        graph once, every source ~degree times — never pay for a full
-        row, while table2's sources (hundreds of failure cases each)
-        cross the threshold almost immediately.  Total work is within
-        2x of the better strategy either way, without knowing the
-        query distribution in advance.
+        ``_spent``, and only once a source has paid about two full
+        rows' worth (``2 * n`` settles) does the cache build the row and
+        switch to repair (buying).  One-shot sources — table3 bypasses
+        each edge of the graph once, every source ~degree times — never
+        pay for a full row, while table2's sources (hundreds of failure
+        cases each) cross the threshold almost immediately.  Total work
+        stays within a small constant factor of the better strategy
+        either way, without knowing the query distribution in advance.
+
+        Searches and repairs write into the cache's scratch row, which
+        the caller reads before the next query overwrites it.
         """
         if not view.dead_edges and not view.dead_nodes:
             return self._row(s)
@@ -646,26 +654,29 @@ class SptCache:
                 COUNTERS.csr_settled - before
             )
             return row
-        affected = self._affected(s, view)
-        if self._repair_viable(s, affected):
-            dist, pred = self._row(s)
-            if not affected:
+        spans, count = self._affected(s, view)
+        if self._repair_viable(s, count, view):
+            if not count:
                 # Tree untouched by the mask: the cached row answers.
                 COUNTERS.spt_repairs += 1
-                return dist, pred
-            return repair_spt(
-                view, s, dist, pred, affected=affected, unit=not self.weighted
-            )
+                return self._row(s)
+            return self._resettle(s, view, spans, self._scratch_row())
         return self._targeted_row(s, t, view)
 
-    def _targeted_row(
-        self, s: int, t: int, view: CsrView
-    ) -> tuple[list[float], list[int]]:
-        """One early-exit canonical search toward *t* (no caching)."""
+    def _scratch_row(self) -> tuple[array, array]:
+        scratch = self._scratch
+        if scratch is None:
+            scratch = self._scratch = _blank_row(self.csr.n)
+        return scratch
+
+    def _targeted_row(self, s: int, t: int, view: CsrView) -> tuple:
+        """One early-exit canonical search toward *t*, into the scratch row."""
+        backend = kernel_backend()
         if self.weighted:
-            dist, pred, _ = dijkstra_csr_canonical(view, s, targets=(t,))
-            return dist, pred
-        return bfs_csr(view, s, target=t)
+            return backend.dijkstra_canonical(
+                view, s, (t,), self._scratch_row()
+            )[:2]
+        return backend.bfs(view, s, t, self._scratch_row())
 
     def distances(
         self, source: Node, scenario_or_view=None

@@ -17,12 +17,14 @@
  * flushes them into repro.perf.COUNTERS, keeping this file free of any
  * Python API dependency (it is plain C99, linked only against libm).
  * All functions return 0 on success and a negative status on failure
- * (-1 allocation, -2..-4 bad decomposition input); the wrapper raises.
+ * (-1 allocation, -2..-4 bad decomposition input, -5 a predecessor
+ * array that is not a tree); the wrapper raises.
  */
 
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 typedef int64_t i64;
 typedef unsigned char u8;
@@ -377,65 +379,150 @@ repro_rows_many(const i64 *indptr, const i64 *indices, const double *weights,
 }
 
 /* ---------------------------------------------------------------- *
+ * Preorder of one source's predecessor tree — the reference
+ * children-list + stack loop.  Children are listed in increasing index
+ * order and the stack pops the last one pushed, so `order` is the
+ * reference's exact sequence.  `pos[x]` is x's place in `order` (-1
+ * when the tree does not reach x) and `size[x]` the size of x's
+ * subtree (0 when unreached): the subtree below x is
+ * order[pos[x] .. pos[x] + size[x]).  *out_len receives the number of
+ * reached nodes, size[root].
+ * ---------------------------------------------------------------- */
+
+int
+repro_preorder(const i64 *pred, i64 n, i64 root, i64 *order, i64 *pos,
+               i64 *size, i64 *out_len)
+{
+    /* first[p] .. first[p + 1] delimits p's children in `kids`. */
+    i64 *first = (i64 *)calloc((size_t)n + 1, sizeof(i64));
+    i64 *kids = (i64 *)malloc(((size_t)n + 1) * sizeof(i64));
+    i64 *stack = (i64 *)malloc(((size_t)n + 1) * sizeof(i64));
+    if (first == NULL || kids == NULL || stack == NULL) {
+        free(first);
+        free(kids);
+        free(stack);
+        return -1;
+    }
+    for (i64 x = 0; x < n; x++)
+        if (pred[x] >= 0)
+            first[pred[x] + 1]++;
+    for (i64 p = 0; p < n; p++)
+        first[p + 1] += first[p];
+    for (i64 x = 0; x < n; x++) {
+        i64 p = pred[x];
+        if (p >= 0)
+            kids[first[p]++] = x;
+    }
+    /* The fill advanced first[p] to the end of p's run: shift back. */
+    for (i64 p = n; p > 0; p--)
+        first[p] = first[p - 1];
+    first[0] = 0;
+    for (i64 x = 0; x < n; x++) {
+        pos[x] = -1;
+        size[x] = 0;
+    }
+    i64 len = 0;
+    i64 top = 0;
+    stack[top++] = root;
+    while (top) {
+        i64 x = stack[--top];
+        if (len == n || top + first[x + 1] - first[x] > n) {
+            /* More visits than nodes: pred holds a cycle through root. */
+            free(first);
+            free(kids);
+            free(stack);
+            return -5;
+        }
+        pos[x] = len;
+        order[len++] = x;
+        for (i64 k = first[x]; k < first[x + 1]; k++)
+            stack[top++] = kids[k];
+    }
+    for (i64 k = len - 1; k >= 0; k--) {
+        i64 x = order[k];
+        size[x] += 1;
+        if (k > 0)
+            size[pred[x]] += size[x];
+    }
+    free(first);
+    free(kids);
+    free(stack);
+    *out_len = len;
+    return 0;
+}
+
+/* ---------------------------------------------------------------- *
  * Ramalingam–Reps re-settle of a non-empty affected subtree — the
- * reference boundary-offer + bounded-heap loop.  `new_dist`/`new_pred`
- * arrive holding the full pre-failure labels and are repaired in
- * place; `aff` lists the affected node indices and `aff_mask` marks
- * them (source never affected, per the caller's contract).
+ * reference boundary-offer + bounded-heap loop.  The affected region
+ * is a union of preorder slices of the source's pre-failure tree:
+ * order[spans[2k] .. spans[2k + 1]) for k < n_spans (disjoint, never
+ * holding the source, per the caller's contract).  The pre-failure
+ * labels `dist`/`pred` are only read; `new_dist`/`new_pred` receive a
+ * copy of them, repaired in place.
  * ---------------------------------------------------------------- */
 
 int
 repro_repair(const i64 *indptr, const i64 *indices, const double *weights,
-             i64 n, const u8 *edge_dead, const u8 *node_dead, const i64 *aff,
-             i64 n_aff, const u8 *aff_mask, i64 unit, double *new_dist,
+             i64 n, const u8 *edge_dead, const u8 *node_dead,
+             const double *dist, const i64 *pred, const i64 *order,
+             const i64 *spans, i64 n_spans, i64 unit, double *new_dist,
              i64 *new_pred, i64 *out_relaxations, i64 *out_settled)
 {
     double *best_d = (double *)malloc((size_t)n * sizeof(double));
     i64 *best_p = (i64 *)malloc((size_t)n * sizeof(i64));
-    if (best_d == NULL || best_p == NULL) {
+    u8 *aff_mask = (u8 *)calloc((size_t)n, 1);
+    if (best_d == NULL || best_p == NULL || aff_mask == NULL) {
         free(best_d);
         free(best_p);
+        free(aff_mask);
         return -1;
     }
+    if (new_dist != dist)
+        memcpy(new_dist, dist, (size_t)n * sizeof(double));
+    if (new_pred != pred)
+        memcpy(new_pred, pred, (size_t)n * sizeof(i64));
     /* best_* entries are only ever read for affected nodes; -1 marks
      * "no offer yet" (the reference dict's missing key). */
-    for (i64 k = 0; k < n_aff; k++) {
-        i64 x = aff[k];
-        new_dist[x] = INFINITY;
-        new_pred[x] = -1;
-        best_p[x] = -1;
+    for (i64 s = 0; s < n_spans; s++) {
+        for (i64 k = spans[2 * s]; k < spans[2 * s + 1]; k++) {
+            i64 x = order[k];
+            new_dist[x] = INFINITY;
+            new_pred[x] = -1;
+            best_p[x] = -1;
+            aff_mask[x] = 1;
+        }
     }
 
     i64 relaxations = 0;
+    heap h = {NULL, 0, 0};
     /* Boundary offers: surviving edges from intact nodes into the
      * region, equal offers resolved by the canonical
-     * (dist[parent], parent index) rule. */
-    for (i64 k = 0; k < n_aff; k++) {
-        i64 x = aff[k];
-        if (node_dead[x])
-            continue;
-        i64 stop = indptr[x + 1];
-        for (i64 slot = indptr[x]; slot < stop; slot++) {
-            i64 u = indices[slot];
-            if (aff_mask[u] || node_dead[u] || edge_dead[slot])
+     * (dist[parent], parent index) rule.  The offers, and so the heap
+     * contents, do not depend on the order the region is scanned in. */
+    for (i64 s = 0; s < n_spans; s++) {
+        for (i64 k = spans[2 * s]; k < spans[2 * s + 1]; k++) {
+            i64 x = order[k];
+            if (node_dead[x])
                 continue;
-            relaxations++;
-            double candidate = new_dist[u] + (unit ? 1.0 : weights[slot]);
-            i64 op = best_p[x];
-            if (op < 0 || candidate < best_d[x] ||
-                (candidate == best_d[x] &&
-                 (new_dist[u] < new_dist[op] ||
-                  (new_dist[u] == new_dist[op] && u < op)))) {
-                best_d[x] = candidate;
-                best_p[x] = u;
+            i64 stop = indptr[x + 1];
+            for (i64 slot = indptr[x]; slot < stop; slot++) {
+                i64 u = indices[slot];
+                if (aff_mask[u] || node_dead[u] || edge_dead[slot])
+                    continue;
+                relaxations++;
+                double candidate = new_dist[u] + (unit ? 1.0 : weights[slot]);
+                i64 op = best_p[x];
+                if (op < 0 || candidate < best_d[x] ||
+                    (candidate == best_d[x] &&
+                     (new_dist[u] < new_dist[op] ||
+                      (new_dist[u] == new_dist[op] && u < op)))) {
+                    best_d[x] = candidate;
+                    best_p[x] = u;
+                }
             }
+            if (best_p[x] >= 0 && heap_push(&h, best_d[x], x))
+                goto oom;
         }
-    }
-    heap h = {NULL, 0, 0};
-    for (i64 k = 0; k < n_aff; k++) {
-        i64 x = aff[k];
-        if (best_p[x] >= 0 && heap_push(&h, best_d[x], x))
-            goto oom;
     }
 
     i64 settled = 0;
@@ -473,6 +560,7 @@ repro_repair(const i64 *indptr, const i64 *indices, const double *weights,
     }
     free(best_d);
     free(best_p);
+    free(aff_mask);
     free(h.a);
     *out_relaxations = relaxations;
     *out_settled = settled;
@@ -480,6 +568,7 @@ repro_repair(const i64 *indptr, const i64 *indices, const double *weights,
 oom:
     free(best_d);
     free(best_p);
+    free(aff_mask);
     free(h.a);
     return -1;
 }

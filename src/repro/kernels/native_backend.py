@@ -43,6 +43,14 @@ dist-row addresses indexed by node.  The C DP reads
 ``array('d')`` rows by address, and rows adopted from a shared-memory
 ``RROW`` segment in place at the segment's address — so no row is
 copied per call and nothing calls back into Python.
+
+**Backup paths without n-length Python lists.**  ``preorder`` lays out
+a cached row's tree in C, and ``repair_resettle`` reads the cached
+pre-failure row (adopted read-only rows in place), the preorder and
+the affected slices, copies and masks in C, and writes the repaired
+row into arrays the caller owns.  Given ``out`` arrays, the targeted
+``dijkstra_canonical``/``bfs`` searches write there too instead of
+returning lists.
 """
 
 from __future__ import annotations
@@ -204,10 +212,12 @@ _LIB.repro_rows_many.argtypes = [
     _ptr, _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _i64, _i64, _ptr, _ptr,
     _i64p, _i64p,
 ]
+_LIB.repro_preorder.restype = ctypes.c_int
+_LIB.repro_preorder.argtypes = [_ptr, _i64, _i64, _ptr, _ptr, _ptr, _i64p]
 _LIB.repro_repair.restype = ctypes.c_int
 _LIB.repro_repair.argtypes = [
-    _ptr, _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _i64, _ptr, _i64, _ptr, _ptr,
-    _i64p, _i64p,
+    _ptr, _ptr, _ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _i64, _i64,
+    _ptr, _ptr, _i64p, _i64p,
 ]
 _LIB.repro_decompose_many.restype = ctypes.c_int
 _LIB.repro_decompose_many.argtypes = [
@@ -278,16 +288,34 @@ def _view_ptrs(view) -> tuple[int, int, object]:
 # -- backend interface ---------------------------------------------------------
 
 
+def _out_row(out, n: int) -> tuple[array, array]:
+    """The ``(dist, pred)`` arrays a kernel writes: *out*, or fresh ones."""
+    if out is None:
+        return array("d", bytes(8 * n)), array("q", bytes(8 * n))
+    dist, pred = out
+    if (
+        not isinstance(dist, array) or dist.typecode != "d"
+        or not isinstance(pred, array) or pred.typecode not in "lq"
+        or len(dist) != n or len(pred) != n
+    ):
+        raise ValueError("out must be an array('d') and an array('q') of length n")
+    return dist, pred
+
+
 def dijkstra_canonical(
-    view, source: int, targets: Optional[Iterable[int]] = None
-) -> tuple[list[float], list[int], bool]:
-    """Canonical Dijkstra rows — native at every size, targeted or not."""
+    view, source: int, targets: Optional[Iterable[int]] = None, out=None
+):
+    """Canonical Dijkstra rows — native at every size, targeted or not.
+
+    With *out* (an ``array('d')``/``array('q')`` pair of length n) the
+    row is written there and the arrays are returned; without it the
+    row comes back as two fresh lists.
+    """
     csr = view.csr
     n = csr.n
     indptr, indices, weights, _keep = _graph_ptrs(csr)
     edge_dead, node_dead, _vkeep = _view_ptrs(view)
-    dist = array("d", bytes(8 * n))
-    pred = array("q", bytes(8 * n))
+    dist, pred = _out_row(out, n)
     if targets is None:
         t_addr, t_len = 0, -1
         t_arr = None
@@ -307,17 +335,21 @@ def dijkstra_canonical(
     del t_arr
     COUNTERS.csr_relaxations += relaxations.value
     COUNTERS.csr_settled += settled.value
-    return dist.tolist(), pred.tolist(), bool(exhausted.value)
+    if out is None:
+        return dist.tolist(), pred.tolist(), bool(exhausted.value)
+    return dist, pred, bool(exhausted.value)
 
 
-def bfs(view, source: int, target: int = -1) -> tuple[list[float], list[int]]:
-    """Canonical index-ordered BFS with early target exit — native."""
+def bfs(view, source: int, target: int = -1, out=None):
+    """Canonical index-ordered BFS with early target exit — native.
+
+    *out* as for :func:`dijkstra_canonical`.
+    """
     csr = view.csr
     n = csr.n
     indptr, indices, _weights, _keep = _graph_ptrs(csr)
     edge_dead, node_dead, _vkeep = _view_ptrs(view)
-    dist = array("d", bytes(8 * n))
-    pred = array("q", bytes(8 * n))
+    dist, pred = _out_row(out, n)
     relaxations = _i64()
     settled = _i64()
     _check(_LIB.repro_bfs(
@@ -327,7 +359,9 @@ def bfs(view, source: int, target: int = -1) -> tuple[list[float], list[int]]:
     ))
     COUNTERS.csr_relaxations += relaxations.value
     COUNTERS.csr_settled += settled.value
-    return dist.tolist(), pred.tolist()
+    if out is None:
+        return dist.tolist(), pred.tolist()
+    return dist, pred
 
 
 _ROWS_SCRATCH: dict[int, tuple[array, array]] = {}
@@ -391,40 +425,6 @@ def rows_many(
     return out
 
 
-def repair_resettle(
-    view,
-    source: int,
-    dist: list[float],
-    pred: list[int],
-    affected: set[int],
-    unit: bool,
-) -> tuple[list[float], list[int]]:
-    """Ramalingam–Reps re-settle — native at every affected-set size."""
-    csr = view.csr
-    n = csr.n
-    indptr, indices, weights, _keep = _graph_ptrs(csr)
-    edge_dead, node_dead, _vkeep = _view_ptrs(view)
-    new_dist = array("d", dist)
-    new_pred = array("q", pred)
-    aff = array("q", sorted(affected))
-    aff_mask = bytearray(n)
-    for x in affected:
-        aff_mask[x] = 1
-    mask_addr, mask_keep = _addr_of(aff_mask)
-    relaxations = _i64()
-    settled = _i64()
-    _check(_LIB.repro_repair(
-        indptr, indices, weights, n, edge_dead, node_dead,
-        aff.buffer_info()[0], len(aff), mask_addr, 1 if unit else 0,
-        new_dist.buffer_info()[0], new_pred.buffer_info()[0],
-        ctypes.byref(relaxations), ctypes.byref(settled),
-    ))
-    del mask_keep
-    COUNTERS.spt_nodes_resettled += settled.value
-    COUNTERS.csr_relaxations += relaxations.value
-    return new_dist.tolist(), new_pred.tolist()
-
-
 class _PyBuffer(ctypes.Structure):
     """CPython's ``Py_buffer``: how a read-only row's address is read."""
 
@@ -449,6 +449,119 @@ _get_buffer.restype = ctypes.c_int
 _release_buffer = ctypes.pythonapi.PyBuffer_Release
 _release_buffer.argtypes = [ctypes.POINTER(_PyBuffer)]
 _release_buffer.restype = None
+
+#: ``PyBUF_FORMAT | PyBUF_ND``: the export reports its item format and
+#: shape, and is C-contiguous (or the exporter raises ``BufferError``).
+_PYBUF_FORMAT_ND = 0x0004 | 0x0008
+_TYPECODES = {"d": "d", "q": "ql"}
+_FORMATS = {"d": (b"d",), "q": (b"q", b"l")}
+
+
+class _Reads:
+    """Addresses of buffers a kernel only reads, valid for one call.
+
+    ``array`` buffers are read at their own address; lists are copied
+    to an ``array``; anything else — the read-only shared-memory views
+    of adopted ``RROW`` rows included — is read in place through a
+    buffer export held until :meth:`release`.
+    """
+
+    __slots__ = ("copies", "exports")
+
+    def __init__(self) -> None:
+        self.copies: list[array] = []
+        self.exports: list[_PyBuffer] = []
+
+    def addr(self, buf, typecode: str, length: int = -1) -> int:
+        """Address of *buf* as *typecode* items (*length* of them, if >= 0)."""
+        if isinstance(buf, list):
+            buf = array(typecode, buf)
+            self.copies.append(buf)
+        if isinstance(buf, array):
+            if buf.typecode not in _TYPECODES[typecode]:
+                raise TypeError(f"expected a {typecode!r} buffer")
+            if 0 <= length != len(buf):
+                raise ValueError(f"expected {length} items, got {len(buf)}")
+            return buf.buffer_info()[0]
+        export = _PyBuffer()
+        _get_buffer(buf, export, _PYBUF_FORMAT_ND)  # BufferError if strided
+        self.exports.append(export)
+        if export.format not in _FORMATS[typecode]:
+            raise TypeError(f"expected a {typecode!r} buffer")
+        if 0 <= length != export.len // 8:
+            raise ValueError(f"expected {length} items, got {export.len // 8}")
+        return export.buf
+
+    def release(self) -> None:
+        for export in self.exports:
+            _release_buffer(export)
+        self.exports.clear()
+
+
+def preorder(pred, root: int) -> tuple[array, array, array]:
+    """``(order, pos, size)`` of the tree *pred* hangs below *root* — native.
+
+    Same contract and same ``order`` as the reference loop; *pred* is
+    read in place (adopted read-only rows included).
+    """
+    n = len(pred)
+    if not 0 <= root < n:
+        raise IndexError(f"root {root} outside a row of {n} nodes")
+    order = array("q", bytes(8 * n))
+    pos = array("q", bytes(8 * n))
+    size = array("q", bytes(8 * n))
+    length = _i64()
+    reads = _Reads()
+    try:
+        status = _LIB.repro_preorder(
+            reads.addr(pred, "q", n), n, root, order.buffer_info()[0],
+            pos.buffer_info()[0], size.buffer_info()[0], ctypes.byref(length),
+        )
+    finally:
+        reads.release()
+    if status == -5:
+        raise ValueError("pred is not a tree: a cycle runs through the root")
+    _check(status)
+    del order[length.value:]
+    return order, pos, size
+
+
+def repair_resettle(
+    view, source: int, dist, pred, order, spans, unit: bool, out=None
+) -> tuple[array, array]:
+    """Ramalingam–Reps re-settle — native at every affected-set size.
+
+    The pre-failure row is read in place; the region (preorder slices
+    ``order[spans[2k]:spans[2k + 1]]``) is blanked and re-settled in
+    the *out* arrays (fresh ones when ``None``), which are returned.
+    """
+    csr = view.csr
+    n = csr.n
+    indptr, indices, weights, _keep = _graph_ptrs(csr)
+    edge_dead, node_dead, _vkeep = _view_ptrs(view)
+    new_dist, new_pred = _out_row(out, n)
+    n_order = len(order)
+    for k in range(0, len(spans), 2):
+        if not 0 <= spans[k] <= spans[k + 1] <= n_order:
+            raise IndexError(f"span {spans[k]}:{spans[k + 1]} outside the preorder")
+    relaxations = _i64()
+    settled = _i64()
+    reads = _Reads()
+    try:
+        status = _LIB.repro_repair(
+            indptr, indices, weights, n, edge_dead, node_dead,
+            reads.addr(dist, "d", n), reads.addr(pred, "q", n),
+            reads.addr(order, "q"), reads.addr(spans, "q"), len(spans) // 2,
+            1 if unit else 0, new_dist.buffer_info()[0],
+            new_pred.buffer_info()[0], ctypes.byref(relaxations),
+            ctypes.byref(settled),
+        )
+    finally:
+        reads.release()
+    _check(status)
+    COUNTERS.spt_nodes_resettled += settled.value
+    COUNTERS.csr_relaxations += relaxations.value
+    return new_dist, new_pred
 
 
 def decompose_flat(q, d, offsets, rows) -> tuple[array, array, int]:
@@ -482,23 +595,10 @@ def decompose_flat(q, d, offsets, rows) -> tuple[array, array, int]:
     nrows = max(rows) + 1 if rows else 0
     table = array("q", bytes(8 * max(nrows, 1)))
     width = 1 << 62  # no rows: nothing is read, so no node bound applies
-    copies: list[array] = []
-    exports: list[_PyBuffer] = []
+    reads = _Reads()
     try:
         for v, row in rows.items():
-            if isinstance(row, list):
-                row = array("d", row)
-                copies.append(row)
-            if isinstance(row, array) and row.typecode == "d":
-                table[v] = row.buffer_info()[0]
-            else:
-                view = row if isinstance(row, memoryview) else memoryview(row)
-                if view.format != "d":
-                    raise TypeError("decompose_flat rows must hold float64")
-                export = _PyBuffer()
-                _get_buffer(row, export, 0)  # BufferError if not contiguous
-                exports.append(export)
-                table[v] = export.buf
+            table[v] = reads.addr(row, "d")
             width = min(width, len(row))
         probes = _i64()
         bad = _i64()
@@ -509,8 +609,7 @@ def decompose_flat(q, d, offsets, rows) -> tuple[array, array, int]:
             choice.buffer_info()[0], ctypes.byref(probes), ctypes.byref(bad),
         )
     finally:
-        for export in exports:
-            _release_buffer(export)
+        reads.release()
     if status == -2:
         raise KeyError(q_arr[bad.value])
     if status == -3:

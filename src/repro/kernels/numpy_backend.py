@@ -52,6 +52,7 @@ are backend-invariant by construction.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Optional
 
 import numpy as np
@@ -387,25 +388,28 @@ def _vector_eligible(view, n_needed: int) -> bool:
 
 
 def dijkstra_canonical(
-    view, source: int, targets: Optional[Iterable[int]] = None
-) -> tuple[list[float], list[int], bool]:
+    view, source: int, targets: Optional[Iterable[int]] = None, out=None
+):
     """Canonical Dijkstra rows; vectorized for exhaustive queries.
 
     Targeted early-exit queries keep the reference heap — settling a
     whole component to answer a pruned probe would throw away the
-    truncation the oracle relies on.
+    truncation the oracle relies on.  *out* as in the reference.
     """
     if targets is not None or not _vector_eligible(view, SINGLE_MIN_N):
-        return _py.dijkstra_canonical(view, source, targets)
+        return _py.dijkstra_canonical(view, source, targets, out)
     dist, pred = _full_rows(view, [source], unit=False)[source]
+    if out is not None:
+        dist, pred = _py.fill_row(out, dist, pred)
     return dist, pred, True
 
 
-def bfs(view, source: int, target: int = -1) -> tuple[list[float], list[int]]:
+def bfs(view, source: int, target: int = -1, out=None):
     """Canonical BFS rows; vectorized for exhaustive queries."""
     if target >= 0 or not _vector_eligible(view, SINGLE_MIN_N):
-        return _py.bfs(view, source, target)
-    return _full_rows(view, [source], unit=True)[source]
+        return _py.bfs(view, source, target, out)
+    dist, pred = _full_rows(view, [source], unit=True)[source]
+    return (dist, pred) if out is None else _py.fill_row(out, dist, pred)
 
 
 def rows_many(
@@ -419,28 +423,27 @@ def rows_many(
     return _full_rows(view, list(sources), unit)
 
 
+#: Tree preorders are one O(n) walk per cached row: the reference.
+preorder = _py.preorder
+
+
 def repair_resettle(
-    view,
-    source: int,
-    dist: list[float],
-    pred: list[int],
-    affected: set[int],
-    unit: bool,
-) -> tuple[list[float], list[int]]:
-    """Re-settle an affected subtree; vectorized above the size gate."""
-    if len(affected) < REPAIR_MIN_AFFECTED or view.csr.directed:
-        return _py.repair_resettle(view, source, dist, pred, affected, unit)
-    return _repair_resettle_vec(view, source, dist, pred, affected, unit)
+    view, source: int, dist, pred, order, spans, unit: bool, out=None
+):
+    """Re-settle an affected region; vectorized above the size gate."""
+    count = sum(spans[k + 1] - spans[k] for k in range(0, len(spans), 2))
+    if count < REPAIR_MIN_AFFECTED or view.csr.directed:
+        return _py.repair_resettle(
+            view, source, dist, pred, order, spans, unit, out
+        )
+    return _repair_resettle_vec(
+        view, source, dist, pred, order, spans, unit, out
+    )
 
 
 def _repair_resettle_vec(
-    view,
-    source: int,
-    dist: list[float],
-    pred: list[int],
-    affected: set[int],
-    unit: bool,
-) -> tuple[list[float], list[int]]:
+    view, source: int, dist, pred, order, spans, unit: bool, out=None
+):
     """Vectorized Ramalingam–Reps re-settle.
 
     Blank the affected labels, then relax *only the affected rows* to
@@ -459,9 +462,12 @@ def _repair_resettle_vec(
     indptr, indices, deg = g["indptr"], g["indices"], g["deg"]
     n = len(g["deg"])
 
-    new_dist = np.array(dist)
+    new_dist = np.array(dist, dtype=np.float64)
     new_pred = np.array(pred, dtype=np.int64)
-    aff_idx = np.fromiter(affected, dtype=np.int64, count=len(affected))
+    order_np = np.asarray(order, dtype=np.int64)
+    aff_idx = np.concatenate([
+        order_np[spans[k]:spans[k + 1]] for k in range(0, len(spans), 2)
+    ])
     aff_idx.sort()
     aff_mask = np.zeros(n, dtype=bool)
     aff_mask[aff_idx] = True
@@ -517,7 +523,11 @@ def _repair_resettle_vec(
     ))
     COUNTERS.csr_relaxations += boundary + settle_scan
     COUNTERS.spt_nodes_resettled += int(np.count_nonzero(row_finite))
-    return new_dist.tolist(), new_pred.tolist()
+    if out is None:
+        return array("d", new_dist.tobytes()), array("q", new_pred.tobytes())
+    np.frombuffer(out[0], dtype=np.float64)[:] = new_dist
+    np.frombuffer(out[1], dtype=np.int64)[:] = new_pred
+    return out
 
 
 #: The ILM decomposition DP runs the reference loop: a chain of k nodes

@@ -13,17 +13,27 @@ Backend interface (duck-typed module):
 
 ``NAME``
     Backend identifier stamped into BENCH headers.
-``dijkstra_canonical(view, source, targets) -> (dist, pred, exhausted)``
+``dijkstra_canonical(view, source, targets, out=None) -> (dist, pred, exhausted)``
     Canonical-tie-order Dijkstra; the caller has already verified the
-    source is alive.
-``bfs(view, source, target) -> (dist, pred)``
-    Canonical index-ordered BFS with optional early target exit.
+    source is alive.  Rows come back as lists, or — given *out*, an
+    ``array('d')``/``array('q')`` pair of length n — are written into
+    *out*, which is returned.
+``bfs(view, source, target, out=None) -> (dist, pred)``
+    Canonical index-ordered BFS with optional early target exit; *out*
+    as above.
 ``rows_many(view, sources, unit) -> dict | None``
     Batched full rows; ``None`` means "no batched path — caller loops".
-``repair_resettle(view, source, dist, pred, affected, unit)``
-    Ramalingam–Reps re-settle of a non-empty affected subtree; returns
-    fresh ``(new_dist, new_pred)`` and accounts
-    ``spt_nodes_resettled`` / ``csr_relaxations``.
+``preorder(pred, root) -> (order, pos, size)``
+    Preorder of the tree a predecessor row hangs below *root*, as three
+    ``array('q')``: the subtree below a reached node ``x`` is
+    ``order[pos[x]:pos[x] + size[x]]``; unreached nodes have ``pos``
+    -1 and ``size`` 0.
+``repair_resettle(view, source, dist, pred, order, spans, unit, out=None)``
+    Ramalingam–Reps re-settle of a non-empty affected region, given as
+    preorder slices ``order[spans[2k]:spans[2k + 1]]`` of the source's
+    pre-failure tree; writes the repaired row into *out* (fresh arrays
+    when ``None``), returns it, and accounts ``spt_nodes_resettled`` /
+    ``csr_relaxations``.  The pre-failure row is only read.
 ``decompose_flat(q, d, offsets, rows) -> (best, choice, probes)``
     The min-pieces decomposition DP over a batch of chains: flat chain
     nodes *q* and prefix sums *d* cut by *offsets*, oracle dist rows
@@ -33,6 +43,7 @@ Backend interface (duck-typed module):
 from __future__ import annotations
 
 import heapq
+from array import array
 from typing import Iterable, Optional
 
 from ..perf import COUNTERS
@@ -41,9 +52,24 @@ NAME = "python"
 INF = float("inf")
 
 
+def fill_row(out, dist, pred):
+    """Write a ``(dist, pred)`` row into the *out* arrays; returns *out*.
+
+    ``None`` *out* stands for fresh ``array('d')``/``array('q')``.
+    """
+    if out is None:
+        return array("d", dist), array("q", pred)
+    out_dist, out_pred = out
+    if len(out_dist) != len(dist) or len(out_pred) != len(pred):
+        raise ValueError("out arrays must have one entry per node")
+    out_dist[:] = array(out_dist.typecode, dist)
+    out_pred[:] = array(out_pred.typecode, pred)
+    return out_dist, out_pred
+
+
 def dijkstra_canonical(
-    view, source: int, targets: Optional[Iterable[int]] = None
-) -> tuple[list[float], list[int], bool]:
+    view, source: int, targets: Optional[Iterable[int]] = None, out=None
+):
     """Lazy-heap canonical Dijkstra (see ``dijkstra_csr_canonical``)."""
     csr = view.csr
     indptr, indices, weights = csr.indptr, csr.indices, csr.weights
@@ -89,10 +115,12 @@ def dijkstra_canonical(
             # (dist, index) order, so the first tight parent already won.
     COUNTERS.csr_relaxations += relaxations
     COUNTERS.csr_settled += settled
+    if out is not None:
+        return (*fill_row(out, dist, pred), exhausted)
     return dist, pred, exhausted
 
 
-def bfs(view, source: int, target: int = -1) -> tuple[list[float], list[int]]:
+def bfs(view, source: int, target: int = -1, out=None):
     """Canonical index-ordered BFS (see ``bfs_csr``)."""
     csr = view.csr
     indptr, indices = csr.indptr, csr.indices
@@ -104,7 +132,7 @@ def bfs(view, source: int, target: int = -1) -> tuple[list[float], list[int]]:
     relaxations = 0
     if source == target:
         COUNTERS.csr_settled += settled
-        return dist, pred
+        return (dist, pred) if out is None else fill_row(out, dist, pred)
     frontier = [source]
     while frontier:
         frontier.sort()
@@ -123,11 +151,15 @@ def bfs(view, source: int, target: int = -1) -> tuple[list[float], list[int]]:
                     if v == target:
                         COUNTERS.csr_relaxations += relaxations
                         COUNTERS.csr_settled += settled
+                        if out is not None:
+                            return fill_row(out, dist, pred)
                         return dist, pred
                     next_frontier.append(v)
         frontier = next_frontier
     COUNTERS.csr_relaxations += relaxations
     COUNTERS.csr_settled += settled
+    if out is not None:
+        return fill_row(out, dist, pred)
     return dist, pred
 
 
@@ -136,23 +168,50 @@ def rows_many(view, sources: list[int], unit: bool):
     return None
 
 
+def preorder(pred, root: int) -> tuple[array, array, array]:
+    """``(order, pos, size)`` of the tree *pred* hangs below *root*.
+
+    Children lists in increasing index order, then a stack walk that
+    pops the last child pushed; ``size`` accumulates in reverse
+    preorder, so every subtree total is exact whatever the edge weights
+    (zero-weight tree edges included).
+    """
+    n = len(pred)
+    children: list[list[int]] = [[] for _ in range(n)]
+    for x, parent in enumerate(pred):
+        if parent >= 0:
+            children[parent].append(x)
+    order: list[int] = []
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        if len(order) > n:
+            raise ValueError("pred is not a tree: a cycle runs through the root")
+        stack.extend(children[x])
+    pos = [-1] * n
+    size = [0] * n
+    for k, x in enumerate(order):
+        pos[x] = k
+        size[x] = 1
+    for x in reversed(order[1:]):
+        size[pred[x]] += size[x]
+    return array("q", order), array("q", pos), array("q", size)
+
+
 def repair_resettle(
-    view,
-    source: int,
-    dist: list[float],
-    pred: list[int],
-    affected: set[int],
-    unit: bool,
-) -> tuple[list[float], list[int]]:
-    """Boundary offers + bounded heap re-settle of the affected subtree.
+    view, source: int, dist, pred, order, spans, unit: bool, out=None
+):
+    """Boundary offers + bounded heap re-settle of the affected region.
 
     The body of the historical ``repair_spt`` hot path: blank the
     affected labels, seed a heap with every surviving edge from an
     intact node into the region (equal offers resolved by the canonical
     ``(dist[parent], parent index)`` rule), then re-settle restricted to
-    the region.  The caller owns the policy (affected computation,
-    fallback threshold, ``spt_repairs``); *affected* is non-empty and
-    does not contain *source*.
+    the region.  The region is the preorder slices
+    ``order[spans[2k]:spans[2k + 1]]``; it is non-empty and does not
+    hold *source*.  The caller owns the policy (affected region,
+    fallback threshold, ``spt_repairs``).
     """
     csr = view.csr
     indptr, indices, weights = csr.indptr, csr.indices, csr.weights
@@ -160,7 +219,12 @@ def repair_resettle(
 
     new_dist = list(dist)
     new_pred = list(pred)
+    affected: list[int] = []
+    for k in range(0, len(spans), 2):
+        affected += order[spans[k]:spans[k + 1]]
+    in_region = bytearray(csr.n)
     for x in affected:
+        in_region[x] = 1
         new_dist[x] = INF
         new_pred[x] = -1
 
@@ -179,7 +243,7 @@ def repair_resettle(
             continue
         for slot in range(indptr[x], indptr[x + 1]):
             u = indices[slot]
-            if u in affected or node_dead[u] or edge_dead[slot]:
+            if in_region[u] or node_dead[u] or edge_dead[slot]:
                 continue
             relaxations += 1
             candidate = new_dist[u] + (1.0 if unit else weights[slot])
@@ -210,7 +274,7 @@ def repair_resettle(
         settled += 1
         for slot in range(indptr[x], indptr[x + 1]):
             v = indices[slot]
-            if v not in affected or node_dead[v] or edge_dead[slot]:
+            if not in_region[v] or node_dead[v] or edge_dead[slot]:
                 continue
             relaxations += 1
             if new_dist[v] != INF:
@@ -229,7 +293,7 @@ def repair_resettle(
                 push(heap, (candidate, v))
     COUNTERS.spt_nodes_resettled += settled
     COUNTERS.csr_relaxations += relaxations
-    return new_dist, new_pred
+    return fill_row(out, new_dist, new_pred)
 
 
 def decompose_flat(q, d, offsets, rows) -> tuple[list[int], list[int], int]:

@@ -12,7 +12,9 @@ Three properties make the contract load-bearing for the whole library
    repaired rows equal from-scratch canonical rows exactly, pred
    arrays included.
 3. **Batched repair equivalence** — ``SptCache.repair_batch`` returns,
-   per source, the same row as the single-source ``repaired_row``.
+   per source, the same row as the single-source ``repaired_row``, and
+   ``repair_batch_idx`` rows equal the python backend's and a
+   from-scratch canonical row on tie-heavy graphs.
 
 Plus the promoted ``REPAIR_FALLBACK_FRACTION`` knob's contract:
 call-time resolution, CLI/env overrides, validation.
@@ -23,6 +25,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graph.csr import (
     CsrGraph,
@@ -38,6 +41,11 @@ from repro.graph.incremental import (
     repair_spt,
     set_repair_fallback_fraction,
 )
+from repro.kernels import python_backend as pyk
+from repro.perf import COUNTERS
+
+from .test_incremental import kernel, reweighted
+from .test_view_equivalence import removal_instances
 
 
 def tie_heavy_graph(rng: random.Random, n: int = 36, extra: int = 40) -> Graph:
@@ -241,3 +249,52 @@ class TestBenchHeader:
         out = write_bench_json("contract", {"name": "contract"})
         assert out == tmp_path / "results" / "BENCH_contract.json"
         assert out.exists()
+
+
+@st.composite
+def tie_heavy_failures(draw):
+    """A removal instance re-weighted to {1, 2}, a metric and a threshold."""
+    graph, failed_edges, failed_nodes = draw(removal_instances())
+    graph = reweighted(graph, "ties", random.Random(draw(st.integers(0, 999))))
+    weighted = draw(st.booleans())
+    fraction = draw(st.sampled_from((0.05, 0.5, 2.0)))
+    return graph, weighted, failed_edges, failed_nodes, fraction
+
+
+def _batch_rows(graph, weighted, fv):
+    """``repair_batch_idx`` over every node, as lists, plus the counters."""
+    cache = SptCache(graph, weighted=weighted)
+    cache.ensure_rows(range(cache.csr.n))
+    before = COUNTERS.snapshot()
+    batch = cache.repair_batch_idx(range(cache.csr.n), fv)
+    rows = {i: (list(d), list(p)) for i, (d, p) in batch.items()}
+    return rows, COUNTERS.delta(before)
+
+
+class TestBatchedRepairDifferential:
+    """On tie-heavy graphs, every batched row equals the python backend's
+    and a from-scratch canonical row, on both sides of the fallback."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(tie_heavy_failures())
+    def test_batch_rows_match_python_and_scratch(self, case):
+        graph, weighted, failed_edges, failed_nodes, fraction = case
+        fv = graph.without(edges=failed_edges, nodes=failed_nodes)
+        old = set_repair_fallback_fraction(fraction)
+        try:
+            got = _batch_rows(graph, weighted, fv)
+            with kernel("python"):
+                ref = _batch_rows(graph, weighted, fv)
+        finally:
+            set_repair_fallback_fraction(old)
+        assert got == ref
+        rows, _ = got
+        csr = CsrGraph(graph)
+        view = csr.with_edges_removed(failed_edges, failed_nodes)
+        assert set(rows) == set(range(csr.n)) - view.dead_nodes
+        for i, row in rows.items():
+            if weighted:
+                want = pyk.dijkstra_canonical(view, i)[:2]
+            else:
+                want = pyk.bfs(view, i)
+            assert row == tuple(want)

@@ -12,9 +12,12 @@ when the affected subtree blows past the threshold.
 
 from __future__ import annotations
 
+import os
 import random
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.exceptions import NoPath
 from repro.graph.csr import (
@@ -29,15 +32,23 @@ from repro.graph.graph import DiGraph, Graph
 from repro.graph.incremental import (
     REPAIR_FALLBACK_FRACTION,
     SptCache,
-    affected_subtree,
     csr_shortest_path,
     dead_edge_pairs,
     fast_shortest_path,
+    preorder,
     repair_spt,
+    set_repair_fallback_fraction,
+    subtree_spans,
 )
+from repro.graph.paths import Path
+from repro.graph.shm import attach_rows, publish_rows
 from repro.graph.shortest_paths import shortest_path, single_source_distances
+from repro.kernels import backend_name, set_backend
+from repro.kernels import python_backend as pyk
 from repro.perf import COUNTERS
 from repro.topology import cycle_graph, generate_isp_topology, path_graph
+
+from .test_view_equivalence import removal_instances
 
 
 def random_graph(rng: random.Random, n=40, extra=40, unit=False) -> Graph:
@@ -161,8 +172,12 @@ class TestRepairSpt:
         assert {frozenset(p) for p in pairs} == {
             frozenset({csr.index[1], csr.index[2]})
         }
-        affected = affected_subtree(dist, pred, csr.n, pairs, view.dead_nodes)
+        order, pos, size = preorder(pred, csr.index[0])
+        spans, count = subtree_spans(pos, size, [csr.index[2]])
+        affected = {x for k in range(0, len(spans), 2)
+                    for x in order[spans[k]:spans[k + 1]]}
         assert affected == {csr.index[v] for v in (2, 3, 4)}
+        assert count == 3
 
 
 def canonical_reference(cache: SptCache, fv, s, t, weighted: bool):
@@ -334,3 +349,232 @@ class TestFallbackThreshold:
         with pytest.raises(NoPath):
             cache.backup_path(0, 5, fv)
         assert COUNTERS.spt_fallbacks >= before
+
+
+class TestSubtreeSizes:
+    def test_zero_weight_tree_edge_counts_whole_subtree(self):
+        # 0 -1- 2 -0- 1 -1- 3: node 1 ties its parent 2 on distance, so
+        # a distance-ordered sweep can total 2 before 1 is added.
+        g = Graph.from_edges([(0, 2, 1.0), (2, 1, 0.0), (1, 3, 1.0)])
+        cache = SptCache(g, weighted=True)
+        index = cache.csr.index
+        sizes = cache.subtree_sizes(index[0])
+        assert [sizes[index[v]] for v in (0, 2, 1, 3)] == [4, 3, 2, 1]
+        # The cost model reads the same sizes: cutting 0-2 orphans 3 nodes.
+        assert cache.repair_cost_estimate(
+            index[0], [(index[0], index[2])], []
+        ) == 3
+        assert cache.repair_cost_estimate(index[0], [], [index[2]]) == 3
+
+    def test_unreached_nodes_have_size_zero(self):
+        g = Graph.from_edges([(0, 1, 1.0), (2, 3, 1.0)])
+        cache = SptCache(g, weighted=True)
+        index = cache.csr.index
+        sizes = cache.subtree_sizes(index[0])
+        assert sizes[index[2]] == sizes[index[3]] == 0
+        assert sizes[index[0]] == 2
+
+
+# -- array-native backup paths vs. the python backend and scratch search ------
+
+
+@contextmanager
+def kernel(name: str):
+    """Run the block under kernel backend *name*, then restore the old one."""
+    previous, env = backend_name(), os.environ.get("REPRO_KERNEL")
+    set_backend(name)
+    try:
+        yield
+    finally:
+        set_backend(previous)
+        if env is None:
+            os.environ.pop("REPRO_KERNEL", None)
+        else:
+            os.environ["REPRO_KERNEL"] = env
+
+
+def reweighted(graph: Graph, mode: str, rng: random.Random) -> Graph:
+    """*graph* with its node order kept and weights per *mode*.
+
+    ``ties`` draws every weight from {1, 2} (equal-cost paths
+    everywhere) and ``zeros`` from {0, 1, 2}; other modes keep the
+    graph as is.
+    """
+    choices = {"ties": (1.0, 2.0), "zeros": (0.0, 1.0, 2.0)}.get(mode)
+    if choices is None:
+        return graph
+    g = Graph()
+    for v in graph.nodes:
+        g.add_node(v)
+    for u, v, _ in graph.weighted_edges():
+        g.add_edge(u, v, rng.choice(choices))
+    return g
+
+
+@st.composite
+def failure_cases(draw):
+    """A removal instance, a weight regime, a fallback threshold and
+    whether every pre-failure row is warm before the first query."""
+    graph, failed_edges, failed_nodes = draw(removal_instances())
+    mode = draw(st.sampled_from(("weighted", "unit", "ties", "zeros")))
+    graph = reweighted(graph, mode, random.Random(draw(st.integers(0, 999))))
+    fraction = draw(st.sampled_from((0.05, 0.5, 2.0)))
+    return graph, mode, failed_edges, failed_nodes, fraction, draw(st.booleans())
+
+
+def scratch_row(cache: SptCache, view, i: int):
+    """From-scratch canonical reference row, python loops, as lists."""
+    if cache.weighted:
+        return pyk.dijkstra_canonical(view, i)[:2]
+    return pyk.bfs(view, i)
+
+
+def run_queries(graph, weighted, fv, fv2, pairs, sources, warm, adopt=None):
+    """Every backup query of one case on a fresh cache, plus its rows.
+
+    Returns ``(chains, rows, batch, counter delta)``; rows are listed
+    after a second scenario's queries ran on the same cache, so a row
+    that aliased the cache's scratch would show the later query.
+    """
+    cache = SptCache(graph, weighted=weighted)
+    if adopt is not None:
+        cache.adopt_rows(adopt)
+    if warm:
+        cache.ensure_rows(range(cache.csr.n))
+    before = COUNTERS.snapshot()
+    chains = []
+    for s, t in pairs:
+        try:
+            chains.append(cache.backup_path(s, t, fv).nodes)
+        except NoPath:
+            chains.append(None)
+    view = cache.view_for(fv)
+    index = cache.csr.index
+    alive = [s for s in sources if index[s] not in view.dead_nodes]
+    rows = {s: cache.repaired_row(s, view) for s in alive}
+    batch = cache.repair_batch_idx([index[s] for s in sources], view)
+    kept = {s: (list(d), list(p)) for s, (d, p) in rows.items()}
+    kept_batch = {i: (list(d), list(p)) for i, (d, p) in batch.items()}
+    for s, t in pairs:
+        try:
+            cache.backup_path(s, t, fv2)
+        except NoPath:
+            pass
+        if index[s] not in cache.view_for(fv2).dead_nodes:
+            cache.repaired_row(s, cache.view_for(fv2))
+    assert {s: (list(d), list(p)) for s, (d, p) in rows.items()} == kept
+    assert {i: (list(d), list(p)) for i, (d, p) in batch.items()} == kept_batch
+    return chains, kept, kept_batch, COUNTERS.delta(before)
+
+
+def check_against_scratch(graph, weighted, exact, fv, pairs, result):
+    """Chains and rows equal a from-scratch canonical search.
+
+    With zero-weight edges the canonical tie rule does not fix one
+    tree (a zero-weight parent may settle after its equal-distance
+    sibling), so there only costs and distances must agree.
+    """
+    chains, rows, batch, _ = result
+    cache = SptCache(graph, weighted=weighted)
+    view = cache.view_for(fv)
+    index, nodes = cache.csr.index, cache.csr.nodes
+    for (s, t), chain in zip(pairs, chains):
+        si, ti = index[s], index[t]
+        if si in view.dead_nodes or ti in view.dead_nodes:
+            assert chain is None
+            continue
+        dist, pred = scratch_row(cache, view, si)
+        if dist[ti] == INF:
+            assert chain is None
+            continue
+        assert chain is not None and chain[0] == s and chain[-1] == t
+        if exact:
+            walk = [ti]
+            while walk[-1] != si:
+                walk.append(pred[walk[-1]])
+            assert chain == tuple(nodes[x] for x in reversed(walk))
+        else:
+            cost = Path(list(chain)).cost(fv) if weighted else len(chain) - 1
+            assert cost == dist[ti]
+    for s, row in rows.items():
+        want = scratch_row(cache, view, index[s])
+        assert row == want if exact else row[0] == want[0]
+    for i, row in batch.items():
+        want = scratch_row(cache, view, i)
+        assert row == want if exact else row[0] == want[0]
+
+
+def case_queries(graph, failed_nodes, rng):
+    """Query pairs with every dead router as a source and as a target."""
+    nodes = list(graph.nodes)
+    pairs = [tuple(rng.sample(nodes, 2)) for _ in range(12)]
+    for x in failed_nodes:
+        other = rng.choice([v for v in nodes if v != x])
+        pairs += [(x, other), (other, x)]
+    # Repeat sources so rent-to-buy switches from searches to repairs.
+    pairs += [(pairs[0][0], t) for t in rng.sample(nodes, 6) if t != pairs[0][0]]
+    sources = list(dict.fromkeys([s for s, _ in pairs] + list(failed_nodes)))
+    return pairs, sources
+
+
+class TestArrayNativeDifferential:
+    """``backup_path``, ``repaired_row`` and ``repair_batch_idx`` under
+    the active backend equal the python backend (chains, rows and
+    every counter) and a from-scratch canonical search."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(failure_cases(), st.integers(0, 10_000))
+    def test_matches_python_backend_and_scratch(self, case, seed):
+        graph, mode, failed_edges, failed_nodes, fraction, warm = case
+        # numpy extracts parents by the (dist, index) rule, which on
+        # zero-weight ties can point two nodes at each other (a pred
+        # cycle); the heap kernels keep the first parent to settle.
+        assume(mode != "zeros" or backend_name() != "numpy")
+        weighted = mode != "unit"
+        rng = random.Random(seed)
+        fv = graph.without(edges=failed_edges, nodes=failed_nodes)
+        fv2 = graph.without(edges=random_failures(rng, graph, 2))
+        pairs, sources = case_queries(graph, failed_nodes, rng)
+        old = set_repair_fallback_fraction(fraction)
+        try:
+            got = run_queries(graph, weighted, fv, fv2, pairs, sources, warm)
+            with kernel("python"):
+                ref = run_queries(graph, weighted, fv, fv2, pairs, sources, warm)
+        finally:
+            set_repair_fallback_fraction(old)
+        assert got == ref
+        check_against_scratch(graph, weighted, mode != "zeros", fv, pairs, got)
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_adopted_read_only_rows_repair_in_place(self, weighted):
+        """Rows adopted from shared memory stay read-only views; repairs
+        read them in place and answer exactly like built rows."""
+        g = generate_isp_topology(n=40, seed=5, weighted=weighted)
+        publisher = SptCache(g, weighted=weighted)
+        publisher.ensure_rows(range(publisher.csr.n))
+        csr = publisher.csr
+        seg = publish_rows(
+            "spt", csr.n, weighted, csr.source_version, publisher.export_rows()
+        )
+        if seg is None:
+            pytest.skip("shared memory unavailable on this platform")
+        rng = random.Random(9)
+        with seg:
+            table, handle = attach_rows(seg.name)
+            try:
+                for _ in range(4):
+                    fv = g.without(edges=random_failures(rng, g, 2))
+                    fv2 = g.without(edges=random_failures(rng, g, 1))
+                    pairs, sources = case_queries(g, [], rng)
+                    got = run_queries(
+                        g, weighted, fv, fv2, pairs, sources, False, adopt=table
+                    )
+                    ref = run_queries(g, weighted, fv, fv2, pairs, sources, True)
+                    assert got[:3] == ref[:3]
+                    check_against_scratch(g, weighted, True, fv, pairs, got)
+                    for i in table.sources:
+                        dist, pred = table.row(i)
+                        assert dist.readonly and pred.readonly
+                        assert list(dist) == list(publisher.export_rows()[i][0])
+            finally:
+                handle.close()

@@ -35,6 +35,7 @@ from array import array
 import pytest
 
 from repro.graph.csr import as_view, shared_csr
+from repro.graph.incremental import subtree_spans
 from repro.kernels import (
     KERNEL_CHOICES,
     available_backends,
@@ -228,7 +229,7 @@ class TestRepairBitIdentity:
     """Accelerated SPT re-settle == the boundary-offer reference loop."""
 
     def _repair_cases(self, graph, unit):
-        """Yield (view, source, dist, pred, affected) repair instances."""
+        """Yield (view, source, dist, pred, order, spans) repair instances."""
         csr = shared_csr(graph)
         base = as_view(csr)
         nodes = csr.nodes
@@ -241,36 +242,27 @@ class TestRepairBitIdentity:
             tree_nodes = [v for v in range(csr.n) if pred[v] >= 0]
             if not tree_nodes:
                 continue
+            order, pos, size = pyk.preorder(pred, source)
             for k in (1, 3):
                 picks = rng.sample(tree_nodes, min(k, len(tree_nodes)))
                 failed = [(nodes[pred[v]], nodes[v]) for v in picks]
                 view = base.without(edges=failed)
-                children: dict[int, list[int]] = {}
-                for v in range(csr.n):
-                    if pred[v] >= 0:
-                        children.setdefault(pred[v], []).append(v)
-                affected: set[int] = set()
-                stack = list(picks)
-                while stack:
-                    x = stack.pop()
-                    if x in affected:
-                        continue
-                    affected.add(x)
-                    stack.extend(children.get(x, ()))
-                affected.discard(source)
-                if affected:
-                    yield view, source, dist, pred, affected
+                spans, _ = subtree_spans(pos, size, picks)
+                yield view, source, dist, pred, order, spans
 
     def _assert_repairs(self, graph, unit, entry):
-        for view, source, dist, pred, affected in self._repair_cases(graph, unit):
+        for view, source, dist, pred, order, spans in self._repair_cases(
+            graph, unit
+        ):
             before = COUNTERS.snapshot()
             ref = pyk.repair_resettle(
-                view, source, list(dist), list(pred), set(affected), unit
+                view, source, list(dist), list(pred), order, spans, unit
             )
             ref_delta = COUNTERS.delta(before)
             before = COUNTERS.snapshot()
             acc = entry(
-                view, source, list(dist), list(pred), set(affected), unit
+                view, source, array("d", dist), array("q", pred), order,
+                spans, unit,
             )
             acc_delta = COUNTERS.delta(before)
             assert acc == ref
@@ -545,6 +537,6 @@ class TestSelection:
     def test_reference_backend_has_the_full_interface(self):
         for attr in (
             "NAME", "dijkstra_canonical", "bfs", "rows_many",
-            "repair_resettle", "decompose_flat",
+            "preorder", "repair_resettle", "decompose_flat",
         ):
             assert hasattr(pyk, attr)
