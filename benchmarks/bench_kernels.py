@@ -1,4 +1,4 @@
-"""Kernel backend benchmarks: numpy and native vs. the reference loops.
+"""Kernel backend benchmarks: native vs. the reference loops.
 
 Times the dispatch points of :mod:`repro.kernels` head to head on the
 experiment suite's own topology generators, asserting bit-identical
@@ -9,12 +9,11 @@ outputs while it measures:
   frontier BFS on unit graphs), on the ISP, Internet, and AS families;
 * **single-source full rows** — one exhaustive ``dijkstra_canonical``
   call at a time, the shape ``SptCache`` misses and oracle promotions
-  pay for (numpy's ``SINGLE_MIN_N`` gate applies; native has none);
+  pay for;
 * **targeted early-exit searches** — ``dijkstra_canonical`` with a
-  small target set, the ``fast_shortest_path`` probe shape numpy hands
-  back to the reference loop by design;
+  small target set, the ``fast_shortest_path`` probe shape;
 * **tree preorder** — the ``(order, pos, size)`` layout ``SptCache``
-  builds once per cached row (numpy delegates to the reference);
+  builds once per cached row;
 * **SPT re-settle** — Ramalingam–Reps repair vs. the boundary-offer
   loop, on hub failures with large affected subtrees, fed the typed
   pre-failure row and the affected preorder slice exactly as
@@ -27,9 +26,9 @@ outputs while it measures:
 Emits ``results/BENCH_kernels.json`` in the established BENCH schema
 (per-section timings, per-backend speedup ratios, the work-counter
 delta).  ``--smoke`` shrinks sizes and repeats to a CI-friendly run
-that still asserts every equivalence.  Backends that cannot load are
-skipped with a note in the payload (``backends_skipped``) — a fresh
-clone without numpy or a C toolchain must pass every CLI.
+that still asserts every equivalence.  When the native backend cannot
+load it is skipped with a note in the payload (``backends_skipped``) —
+a fresh clone without a C toolchain must pass every CLI.
 """
 
 from __future__ import annotations
@@ -54,14 +53,6 @@ from repro.topology import (
 #: Accelerated backends measured this run, and why any were skipped.
 BACKENDS: dict = {}
 SKIPPED: dict[str, str] = {}
-
-try:
-    from repro.kernels import numpy_backend as npk
-
-    BACKENDS["numpy"] = npk
-except ImportError:  # pragma: no cover - exercised on clones without numpy
-    npk = None
-    SKIPPED["numpy"] = "numpy not importable ([accel] extra)"
 
 try:
     from repro.kernels import native_backend as natk
@@ -151,13 +142,6 @@ def _targeted_section(results, label, graph, n_queries, repeat):
         )
 
 
-def _repair_entry(name, mod):
-    """numpy's vectorized body is called directly (its size gate would
-    route the benchmark back to the loop being measured); native has no
-    gate, so the public entry point is the native path already."""
-    return mod._repair_resettle_vec if name == "numpy" else mod.repair_resettle
-
-
 def _blank_row(n):
     """An ``array('d')``/``array('q')`` pair for a kernel to write a row into."""
     return array("d", bytes(8 * n)), array("q", bytes(8 * n))
@@ -178,10 +162,9 @@ def _repair_section(results, graph, repeat):
     results["preorder_python_s"] = _timed(lambda: pyk.preorder(pred, 0), repeat)
     for name, mod in BACKENDS.items():
         assert mod.preorder(pred, 0) == ref_tree, f"preorder: {name} disagrees"
-        if mod.preorder is not pyk.preorder:
-            results[f"preorder_{name}_s"] = _timed(
-                lambda mod=mod: mod.preorder(pred, 0), repeat
-            )
+        results[f"preorder_{name}_s"] = _timed(
+            lambda mod=mod: mod.preorder(pred, 0), repeat
+        )
     order, pos, size = ref_tree
     victim = max(order[1:], key=size.__getitem__)
     spans, count = subtree_spans(pos, size, [victim])
@@ -195,7 +178,7 @@ def _repair_section(results, graph, repeat):
     ref = tuple(a[:] for a in run(pyk.repair_resettle))
     results["repair_python_s"] = _timed(lambda: run(pyk.repair_resettle), repeat)
     for name, mod in BACKENDS.items():
-        entry = _repair_entry(name, mod)
+        entry = mod.repair_resettle
         assert run(entry) == ref, f"repair: {name} disagrees"
         results[f"repair_{name}_s"] = _timed(
             lambda entry=entry: run(entry), repeat
@@ -244,8 +227,7 @@ def _scenario_miss_set(graph, seed):
 
 def _decompose_section(results, graph, seed, repeat):
     """One real scenario's decomposition-memo misses in one call — the
-    shape production makes (numpy runs the reference loop, so only the
-    backends with their own DP are timed)."""
+    shape production makes."""
     q, d, offsets, rows = _scenario_miss_set(graph, seed)
     chains = len(offsets) - 1
     results["decompose_chains"] = chains
@@ -256,8 +238,6 @@ def _decompose_section(results, graph, seed, repeat):
     )
     for name, mod in BACKENDS.items():
         entry = mod.decompose_flat
-        if entry is pyk.decompose_flat:
-            continue
         best, choice, probes = entry(q, d, offsets, rows)
         assert (list(best), list(choice), probes) == (
             list(ref[0]), list(ref[1]), ref[2]

@@ -327,7 +327,7 @@ class SptCache:
     def warm_rows(self, source_idxs: Iterable[int]) -> None:
         """Batch-build missing pre-failure rows where the backend can.
 
-        Vectorized backends settle many sources per relaxation round
+        The native backend settles the batch in one C call per chunk
         (:func:`repro.kernels.kernel_backend`'s ``rows_many``); the
         reference backend declines and the rows stay lazily built by
         :meth:`_row`.  Either way the cached rows — and the counter
@@ -549,7 +549,7 @@ class SptCache:
         call directly — no Node round-trips.  Dead sources are omitted.
 
         Besides the shared scenario decode, the batch stages its work
-        for the vectorized backends: missing pre-failure rows are built
+        for the batched backend entries: missing pre-failure rows are built
         in one :meth:`warm_rows` call, and the sources whose repair
         trips the fallback policy are recomputed together through
         ``rows_many`` on the masked view.  Rows and counters are

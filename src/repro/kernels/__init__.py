@@ -4,58 +4,46 @@ Every hot loop of the reproduction — canonical Dijkstra/BFS row
 building (:mod:`repro.graph.csr`), decremental SPT re-settling
 (:mod:`repro.graph.incremental`), and the flat ILM decomposition DP
 (:mod:`repro.experiments.ilm_accounting`) — dispatches through the
-backend selected here.  Three backends ship:
+backend selected here.  Two backends ship:
 
 ``python``
     The reference implementation: the original pure-Python loops over
     flat buffers, unchanged in behaviour and counter accounting.  Zero
     dependencies — a fresh clone runs on it out of the box.
 
-``numpy``
-    Vectorized kernels over ndarray casts of the same CSR buffers
-    (zero-copy via the buffer protocol, including shared-memory
-    segments attached by :mod:`repro.graph.shm`).  Distances are
-    computed by batched Bellman–Ford relaxation to fixpoint and
-    predecessors by a vectorized canonical tight-parent extraction —
-    legal because the library-wide ``(dist, index)`` tie contract makes
-    both a pure function of the final labels (see
-    ``docs/performance.md``).  Outputs and perf counters are
-    bit-for-bit identical to the reference backend; the equivalence is
-    pinned by ``tests/test_kernels.py``.
-
 ``native``
     The reference loops compiled: C kernels built at first use with the
     system ``cc`` (cached shared object, zero Python dependencies)
-    and driven through ``ctypes`` over the same CSR buffers and masks.
-    Runs the *same algorithm* as the reference backend instruction for
-    instruction, so outputs and counters stay bit-identical at every
-    input size — including the targeted searches, single-source rows,
-    and small repairs the numpy backend gates back to Python.
+    and driven through ``ctypes`` over the same CSR buffers and masks
+    (including shared-memory segments attached by
+    :mod:`repro.graph.shm`).  Runs the *same algorithm* as the
+    reference backend instruction for instruction, so outputs and
+    counters stay bit-identical at every input size; the equivalence
+    is pinned by ``tests/test_kernels.py``.
 
 The ILM decomposition DP (``decompose_flat``) is batched: one call per
 failure scenario covers every chain the scenario's decomposition memo
 misses, with the oracle dist rows handed over as a node-indexed table.
 The native backend reads those rows in place — shared-memory rows at
-the segment's address — in one crossing, with no Python callbacks;
-numpy runs the reference loop, which stays the semantics to match.
+the segment's address — in one crossing, with no Python callbacks.
 
 Selection: the ``REPRO_KERNEL`` environment variable (``python``,
-``numpy``, ``native``, or ``auto`` — the default), or ``--kernel`` on
-every experiment CLI (:func:`add_kernel_argument` / :func:`apply_kernel`).
-``auto`` prefers native when a C toolchain is present, then numpy when
-it imports, and silently falls back to the reference backend otherwise
-— both accelerated backends stay optional, never dependencies.  The
-active backend name is stamped into every ``BENCH_*.json`` header as
-``kernel_backend`` and treated as an obs-diff comparability key.
+``native``, or ``auto`` — the default), or ``--kernel`` on every
+experiment CLI (:func:`add_kernel_argument` / :func:`apply_kernel`).
+``auto`` prefers native when a C toolchain is present and silently
+falls back to the reference backend otherwise — the compiled backend
+stays optional, never a dependency.  The active backend name is
+stamped into every ``BENCH_*.json`` header as ``kernel_backend`` and
+treated as an obs-diff comparability key.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Optional
+from typing import Any
 
 #: Recognized values for REPRO_KERNEL / --kernel.
-KERNEL_CHOICES = ("auto", "python", "numpy", "native")
+KERNEL_CHOICES = ("auto", "python", "native")
 
 _BACKEND = None  # resolved backend module, cached per process
 
@@ -63,18 +51,13 @@ _BACKEND = None  # resolved backend module, cached per process
 def _resolve(name: str):
     """Import and return the backend module for *name*.
 
-    Explicit names fail loudly (``native`` without a toolchain, or
-    ``numpy`` without numpy, raise ``ImportError``); ``auto`` walks
-    native → numpy → python, taking the first backend that imports.
+    Explicit names fail loudly (``native`` without a toolchain raises
+    ``ImportError``); ``auto`` takes native when it imports, else python.
     """
     if name == "python":
         from . import python_backend
 
         return python_backend
-    if name == "numpy":
-        from . import numpy_backend
-
-        return numpy_backend
     if name == "native":
         from . import native_backend
 
@@ -84,12 +67,6 @@ def _resolve(name: str):
             from . import native_backend
 
             return native_backend
-        except ImportError:
-            pass
-        try:
-            from . import numpy_backend
-
-            return numpy_backend
         except ImportError:
             from . import python_backend
 
@@ -103,8 +80,8 @@ def kernel_backend():
     """The active backend module (resolved once per process).
 
     First call reads ``REPRO_KERNEL`` (default ``auto``); later calls
-    return the cached resolution.  ``REPRO_KERNEL=numpy`` without numpy
-    installed raises ``ImportError`` — an explicit request must not
+    return the cached resolution.  ``REPRO_KERNEL=native`` without a C
+    toolchain raises ``ImportError`` — an explicit request must not
     silently degrade; only ``auto`` falls back.
     """
     global _BACKEND
@@ -115,7 +92,7 @@ def kernel_backend():
 
 
 def backend_name() -> str:
-    """Name of the active backend (``python``/``numpy``/``native``)."""
+    """Name of the active backend (``python``/``native``)."""
     return kernel_backend().NAME
 
 
@@ -137,12 +114,6 @@ def available_backends() -> list[str]:
     """Backends importable in this environment, reference first."""
     names = ["python"]
     try:
-        from . import numpy_backend  # noqa: F401
-
-        names.append("numpy")
-    except ImportError:
-        pass
-    try:
         from . import native_backend  # noqa: F401
 
         names.append("native")
@@ -157,8 +128,8 @@ def add_kernel_argument(parser: Any) -> None:
         "--kernel", choices=list(KERNEL_CHOICES), default=None,
         help="kernel backend for the canonical path engine (default: env "
              "REPRO_KERNEL or 'auto' — native when a C toolchain is "
-             "present, else numpy when importable, else the pure-python "
-             "reference; outputs are bit-identical in every case)",
+             "present, else the pure-python reference; outputs are "
+             "bit-identical in every case)",
     )
 
 

@@ -1,12 +1,7 @@
 """CSR snapshot + array-kernel equivalence vs. the dict implementations.
 
-Two contracts are pinned here.  The **legacy audit mode**
-(``dijkstra_csr(..., legacy=True)`` / ``bfs_csr(..., legacy=True)``)
-still emulates the classic dict kernels exactly (settle order,
-predecessor choices, ties included) — proving the canonical switch
-changed the contract deliberately, not accidentally.  The **production
-canonical kernels** (``dijkstra_csr_canonical``, and the default
-``dijkstra_csr`` / ``bfs_csr`` which now route to the canonical tie
+The production canonical kernels (``dijkstra_csr_canonical``, and the
+``dijkstra_csr`` / ``bfs_csr`` façades over the same canonical tie
 order) match the dict kernels wherever results are tie-invariant
 (distances always; full trees on tie-free graphs) and are themselves
 pinned by :mod:`tests.test_canonical_contract`.  Every topology family
@@ -50,7 +45,7 @@ from repro.topology import (
     two_level_star,
     weighted_comb_graph,
 )
-from repro.graph.shortest_paths import bfs_shortest_paths, dijkstra
+from repro.graph.shortest_paths import dijkstra
 
 TOPOLOGIES = {
     "path": lambda: path_graph(8),
@@ -161,29 +156,6 @@ class TestSharedCsrCache:
 
 
 class TestKernelEquivalence:
-    def test_legacy_dijkstra_exact_match(self, topo):
-        """legacy=True still reproduces the dict kernel byte-identically."""
-        csr = CsrGraph(topo)
-        view = as_view(csr)
-        for src in sources_of(topo):
-            dist_d, pred_d = dijkstra(topo, src)
-            dist, pred = dijkstra_csr(view, csr.index[src], legacy=True)
-            got_dist, got_pred = dicts_from_arrays(csr, dist, pred)
-            assert got_dist == dist_d
-            assert got_pred == pred_d
-
-    def test_legacy_bfs_exact_match(self, topo):
-        if topo.directed:
-            pytest.skip("bfs_shortest_paths is undirected-only here")
-        csr = CsrGraph(topo)
-        view = as_view(csr)
-        for src in sources_of(topo):
-            dist_d, pred_d = bfs_shortest_paths(topo, src)
-            dist, pred = bfs_csr(view, csr.index[src], legacy=True)
-            got_dist, got_pred = dicts_from_arrays(csr, dist, pred)
-            assert got_dist == dist_d
-            assert got_pred == pred_d
-
     def test_default_dijkstra_is_canonical(self, topo):
         """The undecorated entry point routes to the canonical kernel."""
         csr = CsrGraph(topo)
@@ -234,8 +206,6 @@ class TestKernelEquivalence:
             view = mask_from_view(csr, fv)
             src = next(n for n in topo.nodes if fv.has_node(n))
             dist_d, _ = dijkstra(fv, src)
-            dist, _ = dijkstra_csr(view, csr.index[src], legacy=True)
-            assert dicts_from_arrays(csr, dist, [-1] * csr.n)[0] == dist_d
             c_dist, _ = dijkstra_csr(view, csr.index[src])
             assert dicts_from_arrays(csr, c_dist, [-1] * csr.n)[0] == dist_d
 

@@ -17,7 +17,7 @@ import random
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import NoPath
 from repro.graph.csr import (
@@ -526,10 +526,6 @@ class TestArrayNativeDifferential:
     @given(failure_cases(), st.integers(0, 10_000))
     def test_matches_python_backend_and_scratch(self, case, seed):
         graph, mode, failed_edges, failed_nodes, fraction, warm = case
-        # numpy extracts parents by the (dist, index) rule, which on
-        # zero-weight ties can point two nodes at each other (a pred
-        # cycle); the heap kernels keep the first parent to settle.
-        assume(mode != "zeros" or backend_name() != "numpy")
         weighted = mode != "unit"
         rng = random.Random(seed)
         fv = graph.without(edges=failed_edges, nodes=failed_nodes)

@@ -1,4 +1,4 @@
-"""Kernel backend equivalence: the accelerated backends vs. the reference.
+"""Kernel backend equivalence: the native backend vs. the reference.
 
 The backend contract (:mod:`repro.kernels`) is that every backend is a
 drop-in for the pure-Python reference — same rows, same repaired SPTs,
@@ -6,24 +6,18 @@ same decomposition columns, same perf counters, bit for bit.  This
 suite pins that contract over a representative of every topology
 family the repo generates (the same 13-family sweep as
 ``tests/test_shm.py``), for clean views and for views with dead edges
-and dead nodes, for **both** accelerated backends: ``numpy`` (under
-the scipy settle stage *and* the Bellman–Ford fallback it uses when
-scipy is absent) and ``native`` (the compiled C kernels).
-
-The numpy vectorized repair stage is called directly
-(``_repair_resettle_vec``) so its size gate — which routes small inputs
-to the reference loop — cannot hide a divergence; the native backend
-has no gates, so its public entry points are exercised at every input
-size.  The batched decomposition DP is differentially tested against
-the reference on hand-built batches as well (short chains, ``INF``
-rows, the ``EPSILON`` boundary, duplicates, and every row container).
+and dead nodes, for the ``native`` backend (the compiled C kernels).
+It has no size gates, so its public entry points are exercised at
+every input size.  The batched decomposition DP is differentially
+tested against the reference on hand-built batches as well (short
+chains, ``INF`` rows, the ``EPSILON`` boundary, duplicates, and every
+row container).
 
 Tie-heavy graphs matter most here: on unit-weight topologies (grid,
 cycle, comb) nearly every node has several tight parents, so any
 deviation from the canonical ``(dist[parent], parent index)`` rule
-shows up immediately.  Backend-specific cases are skipped when that
-backend is unavailable (numpy not installed / no C toolchain); the
-selection tests below run regardless.
+shows up immediately.  Native cases are skipped when no C toolchain
+is available; the selection tests below run regardless.
 """
 
 from __future__ import annotations
@@ -61,14 +55,6 @@ from repro.topology.classic import (
 )
 from repro.topology.powerlaw import preferential_attachment
 
-try:  # try/except, not find_spec: a broken numpy must also skip
-    from repro.kernels import numpy_backend as npk
-
-    numpy_missing = False
-except ImportError:
-    npk = None
-    numpy_missing = True
-
 try:  # importing builds the cached .so; no toolchain must skip
     from repro.kernels import native_backend as natk
 
@@ -77,23 +63,16 @@ except ImportError:
     natk = None
     native_missing = True
 
-requires_numpy = pytest.mark.skipif(
-    numpy_missing, reason="numpy not installed ([accel] extra)"
-)
 requires_native = pytest.mark.skipif(
     native_missing, reason="no C toolchain for the native backend"
 )
 
 #: The accelerated backends every bit-identity case runs against.
-ACCEL_PARAMS = pytest.mark.parametrize("accel", ["numpy", "native"])
+ACCEL_PARAMS = pytest.mark.parametrize("accel", ["native"])
 
 
 def _accel_module(accel):
     """The backend module for *accel*, skipping when unavailable."""
-    if accel == "numpy":
-        if numpy_missing:
-            pytest.skip("numpy not installed ([accel] extra)")
-        return npk
     if native_missing:
         pytest.skip("no C toolchain for the native backend")
     return natk
@@ -173,22 +152,12 @@ class TestRowsBitIdentity:
     def test_rows_match(self, family, accel):
         self._assert_family(family, _accel_module(accel))
 
-    @requires_numpy
-    @FAMILY_PARAMS
-    def test_rows_match_without_scipy(self, family, monkeypatch):
-        """The Bellman–Ford fallback settle is equally bit-identical."""
-        monkeypatch.setattr(npk, "_sp_dijkstra", None)
-        monkeypatch.setattr(npk, "_sp_csr_matrix", None)
-        self._assert_family(family, npk)
-
     @ACCEL_PARAMS
     def test_single_row_entry_points_match(self, accel):
-        """dijkstra_canonical/bfs dispatch above the numpy size gate too."""
+        """dijkstra_canonical/bfs match the reference on a 500-node graph."""
         mod = _accel_module(accel)
         graph = generate_isp_topology(n=500, seed=9)
         view = as_view(shared_csr(graph))
-        if accel == "numpy":
-            assert view.csr.n >= npk.SINGLE_MIN_N
         dist, pred, exhausted = mod.dijkstra_canonical(view, 0)
         rd, rp, _ = pyk.dijkstra_canonical(view, 0)
         assert exhausted and (dist, pred) == (rd, rp)
@@ -212,17 +181,6 @@ class TestRowsBitIdentity:
         assert (dist, pred, exhausted) == (rd, rp, re_)
         assert delta == ref_delta
         assert delta.csr_settled < view.csr.n  # truncated, not exhaustive
-
-
-def _repair_entry(accel):
-    """The no-gate repair entry point for *accel*.
-
-    numpy's vectorized body is called directly so its size gate cannot
-    hide a divergence on small affected sets; the native backend has no
-    gate, so its public entry point already runs native at every size.
-    """
-    mod = _accel_module(accel)
-    return mod._repair_resettle_vec if accel == "numpy" else mod.repair_resettle
 
 
 class TestRepairBitIdentity:
@@ -272,17 +230,9 @@ class TestRepairBitIdentity:
     @FAMILY_PARAMS
     def test_repaired_rows_match(self, family, accel):
         graph = family()
-        entry = _repair_entry(accel)
+        entry = _accel_module(accel).repair_resettle
         self._assert_repairs(graph, unit=False, entry=entry)
         self._assert_repairs(graph, unit=True, entry=entry)
-
-    @requires_numpy
-    @FAMILY_PARAMS
-    def test_repaired_rows_match_without_scipy(self, family, monkeypatch):
-        monkeypatch.setattr(npk, "_sp_dijkstra", None)
-        monkeypatch.setattr(npk, "_sp_csr_matrix", None)
-        graph = family()
-        self._assert_repairs(graph, unit=False, entry=npk._repair_resettle_vec)
 
 
 def _flat_batch(chains):
@@ -494,7 +444,7 @@ class TestSelection:
         set_backend(previous)
 
     def test_choices_cover_all_backends(self):
-        assert set(KERNEL_CHOICES) == {"auto", "python", "numpy", "native"}
+        assert set(KERNEL_CHOICES) == {"auto", "python", "native"}
         assert available_backends()[0] == "python"
 
     def test_set_backend_round_trips_and_exports(self, monkeypatch):
@@ -512,27 +462,15 @@ class TestSelection:
         set_backend("auto")
         assert backend_name() == "native"
 
-    @requires_numpy
-    def test_auto_prefers_numpy_over_python(self):
-        # auto's full precedence chain (native → numpy → python) with a
-        # simulated missing toolchain lives in tests/test_native_backend.py;
-        # here we only pin that numpy outranks the reference.
-        set_backend("auto")
-        assert backend_name() in ("native", "numpy")
-
-    @requires_numpy
-    def test_explicit_numpy_resolves(self):
-        set_backend("numpy")
-        assert backend_name() == "numpy"
-
     @requires_native
     def test_explicit_native_resolves(self):
         set_backend("native")
         assert backend_name() == "native"
 
     def test_unknown_backend_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            set_backend("fortran")
+        for name in ("fortran", "numpy"):
+            with pytest.raises(ValueError, match="unknown kernel backend"):
+                set_backend(name)
 
     def test_reference_backend_has_the_full_interface(self):
         for attr in (

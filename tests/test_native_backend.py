@@ -7,9 +7,9 @@ bit-identity sweep in ``tests/test_kernels.py``:
   (plus compiler banner), lives under ``~/.cache/repro/`` or the
   ``REPRO_NATIVE_CACHE`` override, is reused byte-for-byte for
   unchanged source, and recompiles when the source changes.
-* **Selection** — ``auto`` resolves native → numpy → python: with the
-  toolchain monkeypatched away it silently degrades to today's
-  behaviour, while an explicit ``REPRO_KERNEL=native`` raises
+* **Selection** — ``auto`` resolves native → python: with the
+  toolchain monkeypatched away it silently degrades to the reference
+  backend, while an explicit ``REPRO_KERNEL=native`` raises
   ``ImportError``.  ``set_backend`` exports the *resolved* name into
   the environment pre-fork, so ``--jobs`` workers and spawned
   subprocesses make the same deterministic choice.
@@ -37,13 +37,6 @@ from repro.experiments.parallel import make_executor, publish_suite
 from repro.graph.shm import residual_segments
 from repro.kernels import backend_name, set_backend
 from repro.perf import COUNTERS
-
-try:
-    from repro.kernels import numpy_backend  # noqa: F401
-
-    numpy_missing = False
-except ImportError:
-    numpy_missing = True
 
 try:
     from repro.kernels import native_backend as natk
@@ -136,9 +129,7 @@ class TestToolchainFallback:
 
     def test_auto_degrades_silently_without_a_compiler(self, monkeypatch):
         _hide_toolchain(monkeypatch)
-        resolved = kernels._resolve("auto")
-        expected = "python" if numpy_missing else "numpy"
-        assert resolved.NAME == expected  # exactly today's behaviour
+        assert kernels._resolve("auto").NAME == "python"
 
     def test_explicit_native_without_a_toolchain_raises(self, monkeypatch):
         _hide_toolchain(monkeypatch)

@@ -9,9 +9,10 @@ Four contracts pinned here:
 * **Validation** — segments with a wrong magic, a future format
   version, or a foreign tie-order contract are refused with
   :class:`ShmFormatError`, never reinterpreted.
-* **Lifecycle / leak-freedom** — after normal teardown *and* after an
-  exception inside the publication scope, ``residual_segments()`` is
-  empty; attach-side handles can never unlink a creator's segment.
+* **Lifecycle / leak-freedom** — after normal teardown, after an
+  exception inside the publication scope *and* after a ``--jobs``
+  worker is killed mid-chunk, ``residual_segments()`` is empty;
+  attach-side handles can never unlink a creator's segment.
 * **Fan-out identity** — per-link ILM accounting produces byte-identical
   results at ``--jobs 1`` and ``--jobs 4``, with shared memory enabled
   and with ``REPRO_SHM=0`` (the rebuild fallback).
@@ -19,7 +20,10 @@ Four contracts pinned here:
 
 from __future__ import annotations
 
+import os
 import random
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -153,6 +157,11 @@ class TestValidation:
             assert segment_exists(seg.name)
 
 
+def _sigkill_self(*_args):
+    """Stand-in ILM chunk worker that dies the way an OOM kill does."""
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 class TestLifecycle:
     def test_normal_teardown_leaves_no_residue(self):
         csr = shared_csr(four_cycle())
@@ -202,6 +211,17 @@ class TestLifecycle:
             third = attach_csr_cached(seg.name)
             assert third is not first
             detach_all()
+
+    def test_killed_worker_leaks_no_segment(self, monkeypatch):
+        """A worker SIGKILLed mid-chunk breaks the pool; the parent's
+        teardown still unlinks every segment it published."""
+        monkeypatch.setattr(table2, "ilm_scenario_chunk", _sigkill_self)
+        with pytest.raises(BrokenProcessPool):
+            table2.run(
+                scale="tiny", modes=("link",), ilm_accounting="per-link",
+                jobs=2,
+            )
+        assert residual_segments() == []
 
     def test_disabled_publication_falls_back(self, monkeypatch):
         from repro.perf import COUNTERS
