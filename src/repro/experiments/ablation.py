@@ -33,12 +33,10 @@ from ..failures.sampler import sample_pairs
 from ..graph.shortest_paths import shortest_path
 from ..mpls.merging import provision_all_trees, provision_edge_lsps
 from ..mpls.network import MplsNetwork
-from ..obs import activate_from_args, add_obs_arguments, bench_observability
-from ..perf import COUNTERS
+from ..obs import TRACER, activate_from_args, add_obs_arguments
 from ..policies import (
     DEFAULT_POLICY,
     active_failure_model_name,
-    active_policy_name,
     add_policy_arguments,
     apply_policy_arguments,
     make_failure_model,
@@ -46,7 +44,7 @@ from ..policies import (
     policy_names,
 )
 from ..topology.isp import generate_isp_topology
-from .bench import StageTimer, write_bench_json
+from .bench import bench_run
 from .reporting import format_table
 
 
@@ -253,48 +251,32 @@ def main(argv: list[str] | None = None) -> str:
     apply_policy_arguments(args)
     activate_from_args(args)
 
-    timer = StageTimer(prefix="ablation")
-    before = COUNTERS.snapshot()
-    with timer.stage("workload"):
-        graph = generate_isp_topology(n=args.size, seed=args.seed)
-        base = UniqueShortestPathsBase(graph)
-        model = make_failure_model(
-            active_failure_model_name(), graph, seed=args.seed
-        )
-        pairs = sample_pairs(graph, args.pairs, seed=args.seed)
-        cases = _workload(graph, base, pairs, model=model)
+    with bench_run(
+        "ablation", args, size=args.size, pairs=args.pairs, seed=args.seed
+    ) as payload:
+        with TRACER.span("ablation.workload"):
+            graph = generate_isp_topology(n=args.size, seed=args.seed)
+            base = UniqueShortestPathsBase(graph)
+            model = make_failure_model(
+                active_failure_model_name(), graph, seed=args.seed
+            )
+            pairs = sample_pairs(graph, args.pairs, seed=args.seed)
+            cases = _workload(graph, base, pairs, model=model)
 
-    sections = []
-    for stage, build in (
-        ("pc_distribution", lambda: pc_distribution_report(graph, base, cases)),
-        ("decomposition", lambda: decomposition_report(graph, base, cases)),
-        ("base_set", lambda: base_set_report(graph, pairs)),
-        ("signaling", lambda: signaling_report(graph, base, pairs)),
-        ("provisioning", lambda: provisioning_report(graph, base)),
-        ("baselines", lambda: baseline_report(graph, base, pairs, model=model)),
-    ):
-        with timer.stage(stage):
-            sections.append(build())
-    report = "\n\n".join(sections)
-    print(report)
-    if args.bench_json != "-":
-        counters = COUNTERS.delta(before).as_dict()
-        payload = {
-            "name": "ablation",
-            "size": args.size,
-            "pairs": args.pairs,
-            "seed": args.seed,
-            "policy": active_policy_name(),
-            "failure_model": active_failure_model_name(),
-            "cases": len(cases),
-            "wall_clock_s": round(timer.total(), 4),
-            "stages": timer.as_dict(),
-            "counters": counters,
-        }
-        payload.update(bench_observability(args, counters))
-        write_bench_json("ablation", payload, path=args.bench_json)
-    else:
-        bench_observability(args)
+        sections = []
+        for stage, build in (
+            ("pc_distribution", lambda: pc_distribution_report(graph, base, cases)),
+            ("decomposition", lambda: decomposition_report(graph, base, cases)),
+            ("base_set", lambda: base_set_report(graph, pairs)),
+            ("signaling", lambda: signaling_report(graph, base, pairs)),
+            ("provisioning", lambda: provisioning_report(graph, base)),
+            ("baselines", lambda: baseline_report(graph, base, pairs, model=model)),
+        ):
+            with TRACER.span(f"ablation.{stage}"):
+                sections.append(build())
+        report = "\n\n".join(sections)
+        print(report)
+        payload["cases"] = len(cases)
     return report
 
 

@@ -3,7 +3,8 @@
 Every experiment CLI and benchmark writes one JSON document per run so
 the performance trajectory of the pipeline is tracked from PR to PR:
 wall-clock, per-stage timings, case counts, and the global work
-counters (:mod:`repro.perf`).  The driver convention is a file named
+counters (:mod:`repro.perf`).  The experiment CLIs share one epilogue,
+:func:`bench_run`.  By convention the file is named
 ``BENCH_<name>.json`` under ``results/`` in the current working
 directory (created on demand; the repo root in CI), overridable per
 CLI via ``--bench-json``.  Historic runs wrote to the working
@@ -26,74 +27,14 @@ code comparator — refuses to diff across them.
 from __future__ import annotations
 
 import json
-import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, Optional
 
 from ..obs.ledger import git_sha, record_run
-from ..obs.profile import PROFILER, memory_report
-from ..obs.trace import TRACER, Tracer
-
-
-class StageTimer:
-    """Accumulating named wall-clock stages.
-
-    A thin flat facade over the span tracer (:mod:`repro.obs.trace`):
-    each ``stage`` block also opens a span on *tracer* (the global
-    :data:`~repro.obs.trace.TRACER` by default, free when disabled), so
-    the same instrumentation yields both the flat ``BENCH_*.json``
-    stage sums and the hierarchical ``--trace-jsonl`` tree.  *prefix*
-    namespaces the span names (``table2.cases``) without polluting the
-    flat stage keys.
-
-    Edge-case contract (pinned by ``tests/test_obs_trace.py``):
-
-    * repeated stages accumulate;
-    * **re-entrant** stages (``a`` nested inside ``a``) count the
-      outermost occurrence only — no double-counting;
-    * a stage that **raises** still accumulates the partial timing.
-
-    >>> timer = StageTimer()
-    >>> with timer.stage("warmup"):
-    ...     pass
-    >>> "warmup" in timer.stages
-    True
-    """
-
-    def __init__(
-        self, tracer: Optional[Tracer] = None, prefix: str = ""
-    ) -> None:
-        self.stages: dict[str, float] = {}
-        self.prefix = prefix
-        self._tracer = TRACER if tracer is None else tracer
-        self._depth: dict[str, int] = {}
-        self._start = time.perf_counter()
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time a block; repeated stages accumulate, nested ones don't double."""
-        depth = self._depth.get(name, 0)
-        self._depth[name] = depth + 1
-        span_name = f"{self.prefix}.{name}" if self.prefix else name
-        t0 = time.perf_counter()
-        try:
-            with self._tracer.span(span_name):
-                with PROFILER.record(span_name):
-                    yield
-        finally:
-            elapsed = time.perf_counter() - t0
-            self._depth[name] = depth
-            if depth == 0:
-                self.stages[name] = self.stages.get(name, 0.0) + elapsed
-
-    def total(self) -> float:
-        """Seconds since this timer was created."""
-        return time.perf_counter() - self._start
-
-    def as_dict(self, digits: int = 4) -> dict[str, float]:
-        """Rounded stage timings, insertion-ordered."""
-        return {name: round(secs, digits) for name, secs in self.stages.items()}
+from ..obs.profile import PROFILER, memory_report, publish_memory_gauges
+from ..obs.trace import TRACER
+from ..perf import COUNTERS, rates_from_counters
 
 
 def add_repair_fallback_argument(parser: Any) -> None:
@@ -177,3 +118,44 @@ def write_bench_json(
     out.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
     record_run(name, payload, out)
     return out
+
+
+@contextmanager
+def bench_run(name: str, args: Any, **header: Any) -> Iterator[dict[str, Any]]:
+    """One experiment CLI run: its root span and its BENCH epilogue.
+
+    *args* are the CLI's parsed flags (``--bench-json`` and the
+    :func:`~repro.obs.add_obs_arguments` set).  Opens the root span
+    *name* (meta *header*) and yields the payload, seeded with
+    ``name`` and *header*, for the CLI to fill.  When the block exits
+    cleanly the payload gains ``wall_clock_s`` (the root span),
+    ``stages`` (the ``<name>.*`` spans, see
+    :meth:`~repro.obs.trace.Tracer.stages`), the run's work
+    ``counters`` and derived ``rates`` and, under ``--obs``, its named
+    ``metrics``; the ``--trace-jsonl``/``--profile-out`` files are
+    written; and ``BENCH_<name>.json`` is written to ``--bench-json``
+    (default ``results/``) unless that is ``-``.
+    """
+    payload: dict[str, Any] = {"name": name, **header}
+    before = COUNTERS.snapshot()
+    with TRACER.span(name, **header) as root:
+        yield payload
+    delta = COUNTERS.delta(before)
+    counters = delta.as_dict()
+    payload.update(
+        wall_clock_s=round(root.duration, 4),
+        stages=TRACER.stages(name),
+        counters=counters,
+    )
+    if COUNTERS.observing:
+        publish_memory_gauges(delta)
+        payload["metrics"] = delta.metrics()
+    payload["rates"] = rates_from_counters(counters)
+    if args.trace_jsonl:
+        print(f"[obs] wrote trace {TRACER.write_jsonl(args.trace_jsonl)}")
+    if args.profile_out:
+        out = PROFILER.write_collapsed(args.profile_out)
+        print(f"[obs] wrote collapsed-stack profile {out}")
+    if args.bench_json != "-":
+        out = write_bench_json(name, payload, path=args.bench_json)
+        print(f"[bench] wrote {out}")

@@ -23,22 +23,15 @@ from ..exceptions import NoPath, NoRestorationPath
 from ..failures.sampler import link_failure_cases, sample_pairs
 from ..graph.graph import Graph, Node
 from ..graph.incremental import fast_shortest_path
-from ..obs import TRACER, activate_from_args, add_obs_arguments, bench_observability
+from ..obs import TRACER, activate_from_args, add_obs_arguments
 from ..kernels import add_kernel_argument, apply_kernel
-from ..perf import COUNTERS
 from ..policies import (
     active_failure_model_name,
-    active_policy_name,
     add_policy_arguments,
     apply_policy_arguments,
     make_failure_model,
 )
-from .bench import (
-    StageTimer,
-    add_repair_fallback_argument,
-    apply_repair_fallback,
-    write_bench_json,
-)
+from .bench import add_repair_fallback_argument, apply_repair_fallback, bench_run
 from .networks import cached_suite, scales
 from .parallel import (
     figure10_stretch_chunk,
@@ -254,34 +247,17 @@ def main(argv: list[str] | None = None) -> str:
     apply_kernel(args)  # before any worker fork
     apply_policy_arguments(args)  # before any worker fork
     activate_from_args(args)
-    timer = StageTimer(prefix="figure10")
-    before = COUNTERS.snapshot()
-    with TRACER.span("figure10", scale=args.scale, seed=args.seed):
-        with timer.stage("collect"):
+    with bench_run(
+        "figure10", args, scale=args.scale, seed=args.seed, jobs=args.jobs
+    ) as payload:
+        with TRACER.span("figure10.collect"):
             samples = run(scale=args.scale, seed=args.seed, jobs=args.jobs)
-        with timer.stage("render"):
+        with TRACER.span("figure10.render"):
             report = render(samples)
-    print(report)
-    if args.bench_json != "-":
-        counters = COUNTERS.delta(before).as_dict()
-        payload = {
-            "name": "figure10",
-            "scale": args.scale,
-            "seed": args.seed,
-            "jobs": args.jobs,
-            "policy": active_policy_name(),
-            "failure_model": active_failure_model_name(),
-            "wall_clock_s": round(timer.total(), 4),
-            "stages": timer.as_dict(),
-            "samples": {
-                name: len(data.cost) for name, data in samples.items()
-            },
-            "counters": counters,
+        print(report)
+        payload["samples"] = {
+            name: len(data.cost) for name, data in samples.items()
         }
-        payload.update(bench_observability(args, counters))
-        write_bench_json("figure10", payload, path=args.bench_json)
-    else:
-        bench_observability(args)
     return report
 
 

@@ -16,11 +16,11 @@ to the sequential run:
   the parent reassembles results in index order, so the concatenated
   case list is exactly the sequential one and every downstream
   aggregate (metrics averages, histogram buckets) is byte-identical.
-* **Counter fan-in.**  Each chunk returns the deltas of the global
-  :data:`~repro.perf.COUNTERS` *and* of the metrics registry
-  (:data:`repro.obs.METRICS`) it accumulated; the parent merges both,
-  so ``BENCH_*.json`` totals include work done in workers and
-  histograms are jobs-invariant.
+* **Counter fan-in.**  The chunk wrappers snapshot the global
+  :data:`~repro.perf.COUNTERS` around each chunk and ship one delta —
+  work counters and named metrics together — with its items; the
+  parent merges it once per chunk, so ``BENCH_*.json`` totals include
+  work done in workers and histograms are jobs-invariant.
 * **Shared CSR, not N copies.**  Before fan-out the parent publishes
   each network's CSR snapshot — and the padded-base snapshot the
   distance oracle runs on — into shared memory
@@ -42,8 +42,8 @@ to the sequential run:
   :meth:`LazyDistanceOracle.adopt_rows`) instead of re-running the
   parent's warm-up searches.  Adopted views are read-only buffers, so
   ``repair_batch`` copy-on-repair mutations stay worker-local by
-  construction.  ``COUNTERS.worker_warm_row_builds`` — injected into
-  each chunk's counter delta by the heartbeat wrappers — records any
+  construction.  ``COUNTERS.worker_warm_row_builds`` — set in each
+  chunk's counter delta by the heartbeat wrappers — records any
   warm-up Dijkstra a worker still had to run itself.
 * **Cost-weighted scheduling.**  Count-based :func:`chunk_bounds`
   balances *items*; :func:`weighted_chunks` balances *work*.  The
@@ -74,8 +74,7 @@ from concurrent.futures import Executor, ProcessPoolExecutor
 from typing import Callable, Iterator, Optional, Sequence
 
 from ..obs import heartbeat
-from ..obs.metrics import METRICS
-from ..perf import COUNTERS
+from ..perf import COUNTERS, PerfCounters
 
 #: Segment names shipped to workers per network: ``(graph CSR segment,
 #: padded-base CSR segment, SPT row segment, oracle row segment)`` —
@@ -131,18 +130,43 @@ _fanout_seq = 0
 
 def _worker_with_heartbeat(
     label: str,
-    worker: Callable[..., tuple[list, dict, dict]],
+    worker: Callable[..., list],
     common_args: tuple,
     start: int,
     end: int,
-) -> tuple[list, dict, dict]:
-    """Chunk wrapper emitting worker-side lifecycle heartbeats.
+) -> tuple[list, PerfCounters]:
+    """Chunk wrapper: lifecycle heartbeats plus the chunk's counter delta.
 
     Always submitted (it is what makes per-chunk wall times land in
     the telemetry channel); when no ``REPRO_HEARTBEAT_DIR`` is set the
-    two :func:`~repro.obs.heartbeat.emit` calls are env lookups and
-    the wrapper costs nothing else.  The result payload is untouched —
-    telemetry is out-of-band by construction.
+    two :func:`~repro.obs.heartbeat.emit` calls are env lookups.
+    Returns ``(items, delta)``: the worker's items untouched and the
+    :data:`COUNTERS` increments it made (:func:`_run_counted`).
+    """
+    heartbeat.emit("chunk-start", label=label, chunk=[start, end])
+    t0 = time.perf_counter()
+    result = _run_counted(label, worker, *common_args, start, end)
+    heartbeat.emit(
+        "chunk-end",
+        label=label,
+        chunk=[start, end],
+        items=end - start,
+        wall_s=round(time.perf_counter() - t0, 6),
+    )
+    return result
+
+
+def _run_counted(
+    label: str, worker: Callable[..., list], *args
+) -> tuple[list, PerfCounters]:
+    """Run one chunk under *label*; returns ``(items, counter delta)``.
+
+    The delta carries the work counters and the named metrics in one
+    object.  Every warm-up row build the chunk performed is by
+    definition a *worker-side* build, so its ``warm_row_builds`` are
+    mirrored into ``worker_warm_row_builds``: the parent's merged total
+    is exactly the warm-up duplication the fan-out failed to eliminate
+    (zero when row publication covered everything).
     """
     import tracemalloc
 
@@ -151,51 +175,30 @@ def _worker_with_heartbeat(
         # inherit the tracing flag and would pay its multiple-x
         # allocation overhead for a peak nobody ever collects.
         tracemalloc.stop()
-    heartbeat.emit("chunk-start", label=label, chunk=[start, end])
+    before = COUNTERS.snapshot()
     heartbeat.set_current_label(label)
-    t0 = time.perf_counter()
     try:
-        items, delta, metrics_delta = worker(*common_args, start, end)
+        items = worker(*args)
     finally:
         heartbeat.set_current_label(None)
-    heartbeat.emit(
-        "chunk-end",
-        label=label,
-        chunk=[start, end],
-        items=end - start,
-        wall_s=round(time.perf_counter() - t0, 6),
-    )
-    return items, _tag_worker_builds(delta), metrics_delta
-
-
-def _tag_worker_builds(delta: dict) -> dict:
-    """Mirror a chunk's ``warm_row_builds`` into the worker-side counter.
-
-    Runs inside the worker, on the counter delta it is about to ship:
-    every warm-up row build the chunk performed is by definition a
-    *worker-side* build, so the parent's merged
-    ``worker_warm_row_builds`` totals exactly the warm-up duplication
-    the fan-out failed to eliminate (zero when row publication covered
-    everything).
-    """
-    delta = dict(delta)
-    delta["worker_warm_row_builds"] = delta.get("warm_row_builds", 0)
-    return delta
+    delta = COUNTERS.delta(before)
+    delta.worker_warm_row_builds = delta.warm_row_builds
+    return items, delta
 
 
 def run_chunked(
     executor: Executor,
-    worker: Callable[..., tuple[list, dict, dict]],
+    worker: Callable[..., list],
     common_args: tuple,
     n_items: int,
     jobs: int,
 ) -> list:
     """Fan ``worker(*common_args, start, end)`` out over chunks.
 
-    The worker returns ``(items, counter_delta, metrics_delta)``; this
-    reassembles the item lists in chunk order (sequential-identical)
-    and merges every delta into the parent's :data:`COUNTERS` and
-    :data:`METRICS`.  With a heartbeat channel configured
+    The worker returns its item list; this reassembles the lists in
+    chunk order (sequential-identical) and merges each chunk's counter
+    delta into the parent's :data:`COUNTERS` as the chunk finishes.
+    With a heartbeat channel configured
     (``--heartbeat-dir`` / :mod:`repro.obs.heartbeat`), the parent
     brackets the fan-out with ``fanout-start``/``fanout-end`` events
     and every worker chunk reports its own bounds and wall time for
@@ -218,10 +221,8 @@ def run_chunked(
     }
     by_start: dict[int, list] = {}
     for future, start in futures.items():
-        items, delta, metrics_delta = future.result()
-        by_start[start] = items
+        by_start[start], delta = future.result()
         COUNTERS.merge(delta)
-        METRICS.merge(metrics_delta)
     ordered: list = []
     for start in sorted(by_start):
         ordered.extend(by_start[start])
@@ -269,12 +270,12 @@ def weighted_chunks(
 
 def _weighted_chunk_with_heartbeat(
     label: str,
-    worker: Callable[..., tuple[list, dict, dict]],
+    worker: Callable[..., list],
     common_args: tuple,
     qpos: int,
     indices: tuple[int, ...],
     cost: int,
-) -> tuple[list, dict, dict]:
+) -> tuple[list, PerfCounters]:
     """Weighted-chunk twin of :func:`_worker_with_heartbeat`.
 
     Chunks are identified by queue position (their members are scattered
@@ -282,20 +283,12 @@ def _weighted_chunk_with_heartbeat(
     model's prediction, so the telemetry stream holds the
     predicted-vs-actual pair ``repro.obs report`` scores.
     """
-    import tracemalloc
-
-    if tracemalloc.is_tracing():
-        tracemalloc.stop()
     heartbeat.emit(
         "chunk-start", label=label, chunk=[qpos, qpos + 1],
         items=len(indices), cost=cost,
     )
-    heartbeat.set_current_label(label)
     t0 = time.perf_counter()
-    try:
-        items, delta, metrics_delta = worker(*common_args, qpos, indices)
-    finally:
-        heartbeat.set_current_label(None)
+    result = _run_counted(label, worker, *common_args, qpos, indices)
     heartbeat.emit(
         "chunk-end",
         label=label,
@@ -304,12 +297,12 @@ def _weighted_chunk_with_heartbeat(
         cost=cost,
         wall_s=round(time.perf_counter() - t0, 6),
     )
-    return items, _tag_worker_builds(delta), metrics_delta
+    return result
 
 
 def run_weighted(
     executor: Executor,
-    worker: Callable[..., tuple[list, dict, dict]],
+    worker: Callable[..., list],
     common_args: tuple,
     chunks: list[tuple[tuple[int, ...], int]],
     jobs: int,
@@ -319,8 +312,8 @@ def run_weighted(
 
     The :func:`run_chunked` twin for :func:`weighted_chunks` output:
     chunks are submitted in the given (descending-load) order, chunk
-    payloads are reassembled by queue position, and every counter /
-    metrics delta merges into the parent.  Byte-identical output does
+    payloads are reassembled by queue position, and every chunk's
+    counter delta merges into the parent.  Byte-identical output does
     not depend on the reassembly order for mergeable state (the ILM
     accountant's ``merge_state`` is order-free) but keeping it
     deterministic makes the payload list stable anyway.
@@ -342,10 +335,8 @@ def run_weighted(
     }
     by_pos: dict[int, list] = {}
     for future, qpos in futures.items():
-        items, delta, metrics_delta = future.result()
-        by_pos[qpos] = items
+        by_pos[qpos], delta = future.result()
         COUNTERS.merge(delta)
-        METRICS.merge(metrics_delta)
     ordered: list = []
     for qpos in sorted(by_pos):
         ordered.extend(by_pos[qpos])
@@ -565,7 +556,7 @@ _ILM_ACCOUNTANTS: dict = {}
 def table2_case_chunk(
     scale: str, seed: int, index: int, mode: str, shm_ref: ShmRef,
     policy: str, failure_model: str, start: int, end: int,
-) -> tuple[list, dict, dict]:
+) -> list:
     """Evaluate the failure cases of demand pairs ``[start:end)``.
 
     *policy* and *failure_model* are registry names — the worker
@@ -577,8 +568,6 @@ def table2_case_chunk(
     from ..failures.sampler import sample_pairs
     from ..policies import make_failure_model, make_policy
 
-    before = COUNTERS.snapshot()
-    m_before = METRICS.snapshot()
     network = _network(scale, seed, index)
     graph = network.graph
     base = _adopt_network(network, shm_ref, with_base=True)
@@ -590,18 +579,16 @@ def table2_case_chunk(
         primary = base.path_for(*pair)
         for case in model.cases_for_pair(pair, primary, mode):
             results.append(active.evaluate_case(case))
-    return results, COUNTERS.delta(before).as_dict(), METRICS.delta(m_before)
+    return results
 
 
 def table3_bypass_chunk(
     scale: str, seed: int, index: int, shm_ref: ShmRef, failure_model: str,
     start: int, end: int,
-) -> tuple[list, dict, dict]:
+) -> list:
     """Bypass hop counts (None for bridges) of links ``[start:end)``."""
     from .table3 import link_bypass_hops
 
-    before = COUNTERS.snapshot()
-    m_before = METRICS.snapshot()
     network = _network(scale, seed, index)
     graph = network.graph
     _adopt_network(network, shm_ref, with_base=False)
@@ -613,13 +600,13 @@ def table3_bypass_chunk(
         link_bypass_hops(graph, u, v, network.weighted, model)
         for u, v in edges
     ]
-    return hops, COUNTERS.delta(before).as_dict(), METRICS.delta(m_before)
+    return hops
 
 
 def figure10_stretch_chunk(
     scale: str, seed: int, shm_ref: ShmRef, failure_model: str,
     start: int, end: int,
-) -> tuple[list, dict, dict]:
+) -> list:
     """Per-pair stretch sample tuples for demand pairs ``[start:end)``.
 
     Each item is ``(strategy name, cost stretch or None, hop stretch or
@@ -628,8 +615,6 @@ def figure10_stretch_chunk(
     from ..policies import make_failure_model
     from .figure10 import collect_pair_samples
 
-    before = COUNTERS.snapshot()
-    m_before = METRICS.snapshot()
     network = _network(scale, seed, 0)  # Figure 10 runs on the weighted ISP
     from ..failures.sampler import sample_pairs
 
@@ -643,14 +628,14 @@ def figure10_stretch_chunk(
                 network.graph, network.weighted, base, pair, model=model
             )
         )
-    return items, COUNTERS.delta(before).as_dict(), METRICS.delta(m_before)
+    return items
 
 
 def ilm_scenario_chunk(
     scale: str, seed: int, index: int, mode: str, ilm_max_scenarios: int,
     shm_ref: ShmRef, row_ref: RowRef, failure_model: str,
     qpos: int, indices: tuple[int, ...],
-) -> tuple[list, dict, dict]:
+) -> list:
     """ILM-account the scenarios at *indices* of one network/mode.
 
     Rebuilds the deterministic scenario list (sampled pairs -> failure
@@ -679,8 +664,6 @@ def ilm_scenario_chunk(
     from .ilm_accounting import IlmAccountant
     from .table2 import ilm_demand_sources, ilm_scenarios
 
-    before = COUNTERS.snapshot()
-    m_before = METRICS.snapshot()
     network = _network(scale, seed, index)
     graph = network.graph
     base = _adopt_network(network, shm_ref, with_base=True)
@@ -717,4 +700,4 @@ def ilm_scenario_chunk(
         [scenarios[i] for i in indices], progress_chunk=(qpos, qpos + 1)
     )
     state = accountant.export_state()
-    return [state], COUNTERS.delta(before).as_dict(), METRICS.delta(m_before)
+    return [state]

@@ -8,22 +8,11 @@ from __future__ import annotations
 import argparse
 from pathlib import Path as FilePath
 
-from ..obs import TRACER, activate_from_args, add_obs_arguments, bench_observability
+from ..obs import TRACER, activate_from_args, add_obs_arguments
 from ..kernels import add_kernel_argument, apply_kernel
-from ..perf import COUNTERS
-from ..policies import (
-    active_failure_model_name,
-    active_policy_name,
-    add_policy_arguments,
-    apply_policy_arguments,
-)
+from ..policies import add_policy_arguments, apply_policy_arguments
 from . import figure10, table1, table2, table3, theory_figures
-from .bench import (
-    StageTimer,
-    add_repair_fallback_argument,
-    apply_repair_fallback,
-    write_bench_json,
-)
+from .bench import add_repair_fallback_argument, apply_repair_fallback, bench_run
 from .networks import cached_suite, scales
 
 
@@ -32,15 +21,12 @@ def run_all(
     seed: int = 1,
     ilm: str = "per-pair",
     jobs: int = 1,
-    timer: StageTimer | None = None,
 ) -> str:
     """Run every table and figure in paper order; returns the report.
 
-    With *timer* given, each section's wall-clock lands in a stage of
-    its own — the consolidated ``BENCH_runner.json`` is built from it.
+    Each section runs in a ``runner.<section>`` span — the consolidated
+    ``BENCH_runner.json`` reads its ``sections`` from them.
     """
-    if timer is None:
-        timer = StageTimer(prefix="runner")
     sections = []
     for name, stage, runner in (
         ("Table 1", "table1", lambda: table1.render(table1.collect(cached_suite(scale=scale, seed=seed)))),
@@ -49,9 +35,9 @@ def run_all(
         ("Figure 10", "figure10", lambda: figure10.render(figure10.run(scale=scale, seed=seed, jobs=jobs))),
         ("Figures 2-5", "theory_figures", lambda: theory_figures.render(theory_figures.run())),
     ):
-        with timer.stage(stage):
+        with TRACER.span(f"runner.{stage}") as span:
             body = runner()
-        sections.append(f"==== {name} ({timer.as_dict()[stage]:.1f}s) ====\n{body}")
+        sections.append(f"==== {name} ({span.duration:.1f}s) ====\n{body}")
     return "\n\n".join(sections)
 
 
@@ -80,39 +66,20 @@ def main(argv: list[str] | None = None) -> str:
     apply_kernel(args)  # before any worker fork
     apply_policy_arguments(args)  # before any worker fork
     activate_from_args(args)
-    timer = StageTimer(prefix="runner")
-    before = COUNTERS.snapshot()
-    with TRACER.span("runner", scale=args.scale, seed=args.seed):
+    with bench_run(
+        "runner", args, scale=args.scale, seed=args.seed, jobs=args.jobs
+    ) as payload:
         report = run_all(
-            scale=args.scale,
-            seed=args.seed,
-            ilm=args.ilm,
-            jobs=args.jobs,
-            timer=timer,
+            scale=args.scale, seed=args.seed, ilm=args.ilm, jobs=args.jobs
         )
-    print(report)
-    if args.out:
-        FilePath(args.out).write_text(report + "\n")
-    if args.bench_json != "-":
-        counters = COUNTERS.delta(before).as_dict()
-        payload = {
-            "name": "runner",
-            "scale": args.scale,
-            "seed": args.seed,
-            "jobs": args.jobs,
-            "policy": active_policy_name(),
-            "failure_model": active_failure_model_name(),
-            "ilm_accounting": args.ilm,
-            "ilm_max_scenarios": table2.ILM_MAX_SCENARIOS,
-            "wall_clock_s": round(timer.total(), 4),
-            "sections": timer.as_dict(),
-            "stages": timer.as_dict(),
-            "counters": counters,
-        }
-        payload.update(bench_observability(args, counters))
-        write_bench_json("runner", payload, path=args.bench_json)
-    else:
-        bench_observability(args)
+        print(report)
+        if args.out:
+            FilePath(args.out).write_text(report + "\n")
+        payload.update(
+            ilm_accounting=args.ilm,
+            ilm_max_scenarios=table2.ILM_MAX_SCENARIOS,
+            sections=TRACER.stages("runner"),
+        )
     return report
 
 

@@ -7,11 +7,10 @@ from __future__ import annotations
 
 import argparse
 
-from ..obs import TRACER, activate_from_args, add_obs_arguments, bench_observability
+from ..obs import TRACER, activate_from_args, add_obs_arguments
 from ..kernels import add_kernel_argument, apply_kernel
-from ..perf import COUNTERS
 from ..topology.stats import TopologyStats, summarize
-from .bench import StageTimer, write_bench_json
+from .bench import bench_run
 from .networks import ExperimentNetwork, scales, suite
 from .reporting import format_table
 
@@ -77,31 +76,15 @@ def main(argv: list[str] | None = None) -> str:
     args = parser.parse_args(argv)
     apply_kernel(args)
     activate_from_args(args)
-    timer = StageTimer(prefix="table1")
-    before = COUNTERS.snapshot()
-    with TRACER.span("table1", scale=args.scale, seed=args.seed):
-        with timer.stage("topologies"):
+    with bench_run("table1", args, scale=args.scale, seed=args.seed) as payload:
+        with TRACER.span("table1.topologies"):
             networks = suite(scale=args.scale, seed=args.seed)
-        with timer.stage("stats"):
+        with TRACER.span("table1.stats"):
             stats = collect(networks)
-        with timer.stage("render"):
+        with TRACER.span("table1.render"):
             report = render(stats)
-    print(report)
-    if args.bench_json != "-":
-        counters = COUNTERS.delta(before).as_dict()
-        payload = {
-            "name": "table1",
-            "scale": args.scale,
-            "seed": args.seed,
-            "wall_clock_s": round(timer.total(), 4),
-            "stages": timer.as_dict(),
-            "networks": [s.name for s in stats],
-            "counters": counters,
-        }
-        payload.update(bench_observability(args, counters))
-        write_bench_json("table1", payload, path=args.bench_json)
-    else:
-        bench_observability(args)
+        print(report)
+        payload["networks"] = [s.name for s in stats]
     return report
 
 

@@ -20,7 +20,7 @@ from ..core.cache import shared_unique_base
 from ..failures.sampler import FAILURE_MODES, FailureCase, sample_pairs
 from ..graph.graph import Graph
 from ..graph.spt import ShortestPathDag
-from ..obs import TRACER, activate_from_args, add_obs_arguments, bench_observability
+from ..obs import TRACER, activate_from_args, add_obs_arguments
 from ..kernels import add_kernel_argument, apply_kernel
 from ..policies import (
     DEFAULT_POLICY,
@@ -32,12 +32,7 @@ from ..policies import (
     make_policy,
 )
 from ..perf import COUNTERS
-from .bench import (
-    StageTimer,
-    add_repair_fallback_argument,
-    apply_repair_fallback,
-    write_bench_json,
-)
+from .bench import add_repair_fallback_argument, apply_repair_fallback, bench_run
 from .ilm_accounting import IlmAccountant, scenarios_from_cases
 from .metrics import CaseResult, TableTwoRow, build_row
 from .networks import ExperimentNetwork, cached_suite, scales
@@ -159,7 +154,6 @@ def evaluate_network(
     suite_ref: Optional[tuple[str, int, int]] = None,
     executor: Optional[Executor] = None,
     shm_ref: ShmRef = None,
-    timer: Optional[StageTimer] = None,
     stats: Optional[dict] = None,
     policy: Optional[str] = None,
     failure_model: Optional[str] = None,
@@ -184,8 +178,8 @@ def evaluate_network(
     sequential loop.  *shm_ref* carries the network's published
     shared-memory segment names to the workers (see
     :func:`~repro.experiments.parallel.publish_suite`).
-    *timer*/*stats*, when given, receive per-stage wall-clock and case
-    counts for the BENCH output.
+    Each stage opens a ``table2.<stage>`` span (the BENCH ``stages``);
+    *stats*, when given, receives the case count.
 
     *policy*/*failure_model* select the restoration policy and the
     failure model by registry name (``None`` reads the active
@@ -205,20 +199,19 @@ def evaluate_network(
             f"policy only (got policy {policy_name!r}); use the default "
             "per-pair accounting to compare policies"
         )
-    timer = timer if timer is not None else StageTimer()
     stats = stats if stats is not None else {}
     graph = network.graph
     base = shared_unique_base(graph)
     active = make_policy(policy_name, graph, base=base, weighted=network.weighted)
     model = make_failure_model(model_name, graph, seed=seed)
     pairs = sample_pairs(graph, network.sample_pairs, seed=seed)
-    with timer.stage("primaries"):
+    with TRACER.span("table2.primaries"):
         primaries = {pair: base.path_for(*pair) for pair in pairs}
 
     max_multiplicity: Optional[int] = None
     if with_multiplicity:
         max_multiplicity = 0
-        with timer.stage("multiplicity"):
+        with TRACER.span("table2.multiplicity"):
             # One DAG + one batched counting DP per distinct source
             # (sources repeat across sampled pairs).
             for source in dict.fromkeys(s for s, _ in pairs):
@@ -231,7 +224,7 @@ def evaluate_network(
     rows: dict[str, TableTwoRow] = {}
     for mode in modes:
         results: list[CaseResult] = []
-        with timer.stage("cases"):
+        with TRACER.span("table2.cases"):
             if executor is not None and suite_ref is not None and jobs > 1:
                 scale, suite_seed, index = suite_ref
                 results = run_chunked(
@@ -254,7 +247,7 @@ def evaluate_network(
             max_multiplicity=max_multiplicity if mode == "link" else None,
         )
         if ilm_accounting == "per-link":
-            with timer.stage("ilm-per-link"):
+            with TRACER.span("table2.ilm-per-link"):
                 accountant = IlmAccountant(
                     graph,
                     base,
@@ -341,7 +334,6 @@ def run(
     modes: tuple[str, ...] = FAILURE_MODES,
     ilm_accounting: str = "per-pair",
     jobs: int = 1,
-    timer: Optional[StageTimer] = None,
     stats: Optional[dict] = None,
     policy: Optional[str] = None,
     failure_model: Optional[str] = None,
@@ -353,7 +345,7 @@ def run(
     *policy*/*failure_model* default to the active registry selection.
     """
     jobs = resolve_jobs(jobs)
-    with timer.stage("topologies") if timer else _null():
+    with TRACER.span("table2.topologies"):
         networks = cached_suite(scale=scale, seed=seed)
     executor = make_executor(jobs)
     publication = None
@@ -363,7 +355,7 @@ def run(
             # the warm pair-source rows before the first submit:
             # workers attach one shared copy of the buffers — and the
             # parent's warm-up — instead of rebuilding their own.
-            with timer.stage("shm-publish") if timer else _null():
+            with TRACER.span("table2.shm-publish"):
                 publication = publish_suite(
                     networks, with_base=True, with_rows=True, seed=seed
                 )
@@ -377,7 +369,6 @@ def run(
                 suite_ref=(scale, seed, index),
                 executor=executor,
                 shm_ref=publication.ref(index) if publication else None,
-                timer=timer,
                 stats=stats,
                 policy=policy,
                 failure_model=failure_model,
@@ -395,13 +386,6 @@ def run(
     return {
         mode: [rows[mode] for rows in per_network] for mode in modes
     }
-
-
-def _null():
-    """A no-op context manager (placeholder when no timer is passed)."""
-    from contextlib import nullcontext
-
-    return nullcontext()
 
 
 def main(argv: list[str] | None = None) -> str:
@@ -435,52 +419,31 @@ def main(argv: list[str] | None = None) -> str:
     apply_kernel(args)  # before any worker fork
     apply_policy_arguments(args)  # before any worker fork
     activate_from_args(args)
-    timer = StageTimer(prefix="table2")
     stats: dict = {}
-    before = COUNTERS.snapshot()
-    with TRACER.span("table2", scale=args.scale, seed=args.seed):
+    with bench_run(
+        "table2", args, scale=args.scale, seed=args.seed, jobs=args.jobs
+    ) as payload:
         all_rows = run(
             scale=args.scale,
             seed=args.seed,
             modes=tuple(args.modes),
             ilm_accounting=args.ilm,
             jobs=args.jobs,
-            timer=timer,
             stats=stats,
         )
-        with timer.stage("render"):
+        with TRACER.span("table2.render"):
             report = render(all_rows)
-    print(report)
-    if args.bench_json != "-":
-        counters = COUNTERS.delta(before).as_dict()
-        cases = stats.get("cases", 0)
-        payload = {
-            "name": "table2",
-            "scale": args.scale,
-            "seed": args.seed,
-            "jobs": args.jobs,
-            "modes": list(args.modes),
-            "policy": active_policy_name(),
-            "failure_model": active_failure_model_name(),
-            "ilm_accounting": args.ilm,
-            "ilm_max_scenarios": ILM_MAX_SCENARIOS,
-            "wall_clock_s": round(timer.total(), 4),
-            "stages": timer.as_dict(),
-            "cases": cases,
-            "dijkstra_relaxations_per_case": (
-                round(counters["dijkstra_relaxations"] / cases, 1) if cases else None
-            ),
-            "counters": counters,
-            "rows": {
+        print(report)
+        payload.update(
+            modes=list(args.modes),
+            ilm_accounting=args.ilm,
+            ilm_max_scenarios=ILM_MAX_SCENARIOS,
+            cases=stats.get("cases", 0),
+            rows={
                 mode: [asdict(row) for row in rows]
                 for mode, rows in all_rows.items()
             },
-        }
-        payload.update(bench_observability(args, counters))
-        out = write_bench_json("table2", payload, path=args.bench_json)
-        print(f"[bench] wrote {out}")
-    else:
-        bench_observability(args)
+        )
     return report
 
 

@@ -17,24 +17,17 @@ from ..core.local_restoration import bypass_path
 from ..exceptions import NoPath, NoRestorationPath
 from ..graph.graph import Graph
 from ..graph.shortest_paths import shortest_path
-from ..obs import TRACER, activate_from_args, add_obs_arguments, bench_observability
-from ..obs.metrics import DEPTH_EDGES, METRICS
+from ..obs import TRACER, activate_from_args, add_obs_arguments
 from ..kernels import add_kernel_argument, apply_kernel
 from ..policies import (
     DEFAULT_FAILURE_MODEL,
     active_failure_model_name,
-    active_policy_name,
     add_policy_arguments,
     apply_policy_arguments,
     make_failure_model,
 )
-from ..perf import COUNTERS
-from .bench import (
-    StageTimer,
-    add_repair_fallback_argument,
-    apply_repair_fallback,
-    write_bench_json,
-)
+from ..perf import COUNTERS, DEPTH_EDGES
+from .bench import add_repair_fallback_argument, apply_repair_fallback, bench_run
 from .networks import cached_suite, scales
 from .parallel import (
     make_executor,
@@ -104,16 +97,16 @@ def _aggregate(
         return {}, 0.0
     counts: dict[int, int] = {}
     bridges = 0
-    record = METRICS.enabled
+    record = COUNTERS.observing
     for hops in hops_list:
         if hops is None:
             bridges += 1
             if record:
-                METRICS.counter("table3.bridges").inc()
+                COUNTERS.counter("table3.bridges").inc()
         else:
             counts[hops] = counts.get(hops, 0) + 1
             if record:
-                METRICS.histogram("table3.bypass_hops", DEPTH_EDGES).observe(hops)
+                COUNTERS.histogram("table3.bypass_hops", DEPTH_EDGES).observe(hops)
     percents = {hops: 100.0 * n / total for hops, n in sorted(counts.items())}
     return percents, 100.0 * bridges / total
 
@@ -229,36 +222,19 @@ def main(argv: list[str] | None = None) -> str:
     apply_kernel(args)  # before any worker fork
     apply_policy_arguments(args)  # before any worker fork
     activate_from_args(args)
-    timer = StageTimer(prefix="table3")
-    before = COUNTERS.snapshot()
-    with TRACER.span("table3", scale=args.scale, seed=args.seed):
-        with timer.stage("bypasses"):
+    with bench_run(
+        "table3", args, scale=args.scale, seed=args.seed, jobs=args.jobs
+    ):
+        with TRACER.span("table3.bypasses"):
             results = run(
                 scale=args.scale,
                 seed=args.seed,
                 max_links=args.max_links,
                 jobs=args.jobs,
             )
-        with timer.stage("render"):
+        with TRACER.span("table3.render"):
             report = render(results)
-    print(report)
-    if args.bench_json != "-":
-        counters = COUNTERS.delta(before).as_dict()
-        payload = {
-            "name": "table3",
-            "scale": args.scale,
-            "seed": args.seed,
-            "jobs": args.jobs,
-            "policy": active_policy_name(),
-            "failure_model": active_failure_model_name(),
-            "wall_clock_s": round(timer.total(), 4),
-            "stages": timer.as_dict(),
-            "counters": counters,
-        }
-        payload.update(bench_observability(args, counters))
-        write_bench_json("table3", payload, path=args.bench_json)
-    else:
-        bench_observability(args)
+        print(report)
     return report
 
 

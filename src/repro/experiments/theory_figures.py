@@ -161,9 +161,8 @@ def render(results: list[TightnessResult]) -> str:
 
 def main(argv: list[str] | None = None) -> str:
     """CLI entry point; prints and returns the report."""
-    from ..obs import activate_from_args, add_obs_arguments, bench_observability
-    from ..perf import COUNTERS
-    from .bench import StageTimer, write_bench_json
+    from ..obs import TRACER, activate_from_args, add_obs_arguments
+    from .bench import bench_run
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -176,28 +175,17 @@ def main(argv: list[str] | None = None) -> str:
     args = parser.parse_args(argv)
     apply_kernel(args)
     activate_from_args(args)
-    timer = StageTimer(prefix="theory_figures")
-    before = COUNTERS.snapshot()
-    with timer.stage("constructions"):
-        results = run()
-    with timer.stage("render"):
-        report = render(results)
-    print(report)
-    if args.bench_json != "-":
-        counters = COUNTERS.delta(before).as_dict()
-        payload = {
-            "name": "theory_figures",
-            "cases": len(results),
-            "figures": sorted({r.figure for r in results}),
-            "matches": sum(1 for r in results if r.matches),
-            "wall_clock_s": round(timer.total(), 4),
-            "stages": timer.as_dict(),
-            "counters": counters,
-        }
-        payload.update(bench_observability(args, counters))
-        write_bench_json("theory_figures", payload, path=args.bench_json)
-    else:
-        bench_observability(args)
+    with bench_run("theory_figures", args) as payload:
+        with TRACER.span("theory_figures.constructions"):
+            results = run()
+        with TRACER.span("theory_figures.render"):
+            report = render(results)
+        print(report)
+        payload.update(
+            cases=len(results),
+            figures=sorted({r.figure for r in results}),
+            matches=sum(1 for r in results if r.matches),
+        )
     return report
 
 

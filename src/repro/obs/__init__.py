@@ -2,16 +2,17 @@
 
 The instruments, and where they report:
 
-* :mod:`repro.obs.trace` — hierarchical span tracer (:data:`TRACER`).
-  Experiments open spans through
-  :class:`~repro.experiments.bench.StageTimer`; ``--trace-jsonl``
-  dumps the tree for ``python -m repro.obs tree``.
+* :mod:`repro.obs.trace` — hierarchical span tracer (:data:`TRACER`),
+  the one stage recorder: always on, one span per experiment stage;
+  a BENCH payload's ``stages`` are a view over it, and
+  ``--trace-jsonl`` dumps the tree for ``python -m repro.obs tree``.
 * :mod:`repro.obs.events` — versioned structured event log
   (:class:`EventLog`); the simulation's single timeline source of
   truth, rendered by ``python -m repro.obs timeline``.
-* :mod:`repro.obs.metrics` — counters/gauges/histograms
-  (:data:`METRICS`), merged across ``--jobs`` workers like
-  :data:`repro.perf.COUNTERS` and published in ``BENCH_*.json``.
+* Named counters/gauges/histograms live in the one counter registry,
+  :data:`repro.perf.COUNTERS`, next to the work counters; ``--obs``
+  turns their recording on and publishes them in ``BENCH_*.json``
+  under ``"metrics"``.
 * :mod:`repro.obs.ledger` — append-only run manifests
   (``results/history/ledger.jsonl``); the cross-run history behind
   ``python -m repro.obs trend`` and ``report``.
@@ -21,9 +22,9 @@ The instruments, and where they report:
 * :mod:`repro.obs.heartbeat` — live worker telemetry side channel
   (``--heartbeat-dir``), rendered by ``python -m repro.obs watch``.
 
-Everything is off by default and costs one attribute check when off;
-experiment CLIs expose the knobs via :func:`add_obs_arguments` /
-:func:`activate_from_args`.
+Apart from the tracer and the RSS stamp, everything is off by default
+and costs one attribute check when off; experiment CLIs expose the
+knobs via :func:`add_obs_arguments` / :func:`activate_from_args`.
 
 See ``docs/observability.md`` for the span API, the event schema and
 its versioning policy, the metrics glossary, the ledger/telemetry
@@ -33,19 +34,11 @@ formats, and CLI examples.
 from __future__ import annotations
 
 import argparse
-from typing import Any, Optional
 
+from ..perf import COUNTERS
 from . import heartbeat
 from .events import SCHEMA, SCHEMA_VERSION, Event, EventLog
 from .ledger import LEDGER_SCHEMA, git_sha, record_run
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    METRICS,
-    MetricsRegistry,
-    rates_from_counters,
-)
 from .profile import (
     PROFILER,
     StageProfiler,
@@ -54,18 +47,12 @@ from .profile import (
     start_memory_tracking,
     stop_memory_tracking,
 )
-from .trace import NULL_SPAN, Span, TRACER, Tracer
+from .trace import Span, TRACER, Tracer
 
 __all__ = [
-    "Counter",
     "Event",
     "EventLog",
-    "Gauge",
-    "Histogram",
     "LEDGER_SCHEMA",
-    "METRICS",
-    "MetricsRegistry",
-    "NULL_SPAN",
     "PROFILER",
     "SCHEMA",
     "SCHEMA_VERSION",
@@ -75,12 +62,10 @@ __all__ = [
     "Tracer",
     "activate_from_args",
     "add_obs_arguments",
-    "bench_observability",
     "git_sha",
     "heartbeat",
     "memory_report",
     "publish_memory_gauges",
-    "rates_from_counters",
     "record_run",
     "start_memory_tracking",
     "stop_memory_tracking",
@@ -91,7 +76,8 @@ def add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the shared observability CLI flags."""
     parser.add_argument(
         "--obs", action="store_true",
-        help="enable span tracing and the metrics registry for this run",
+        help="record the named metrics (counters, gauges, histograms) "
+             "and publish them in the bench JSON",
     )
     parser.add_argument(
         "--trace-jsonl", type=str, default=None, metavar="PATH",
@@ -119,10 +105,11 @@ def activate_from_args(args: argparse.Namespace) -> bool:
     """Enable the obs instruments per the parsed flags.
 
     Returns True when observability is on for this run.  The switch is
-    authoritative either way — an uninstrumented run turns the layer
-    off — and state is reset so one process can host several
-    instrumented runs.  Must run before any worker pool is created:
-    the heartbeat directory travels to workers via the environment.
+    authoritative either way — an uninstrumented run stops recording
+    named metrics — and the tracer (plus, when on, the named metrics)
+    is reset so one process can host several runs.  Must run before
+    any worker pool is created: the heartbeat directory travels to
+    workers via the environment.
     """
     profile_out = getattr(args, "profile_out", None)
     mem = bool(getattr(args, "mem", False))
@@ -132,14 +119,10 @@ def activate_from_args(args: argparse.Namespace) -> bool:
         or profile_out
         or mem
     )
+    TRACER.reset()
     if enabled:
-        TRACER.reset()
-        TRACER.enabled = True
-        METRICS.reset()
-        METRICS.enabled = True
-    else:
-        TRACER.enabled = False
-        METRICS.enabled = False
+        COUNTERS.reset()
+    COUNTERS.observing = enabled
     PROFILER.reset()
     PROFILER.enabled = bool(profile_out)
     if mem:
@@ -150,30 +133,3 @@ def activate_from_args(args: argparse.Namespace) -> bool:
         # by a wrapper script) is left alone when the flag is absent.
         heartbeat.set_heartbeat_dir(hb_dir)
     return enabled
-
-
-def bench_observability(
-    args: argparse.Namespace, counters: Optional[dict[str, int]] = None
-) -> dict[str, Any]:
-    """The ``BENCH_*.json`` extras for an instrumented run.
-
-    Publishes the memory gauges into the registry, writes the trace
-    and collapsed-stack profile files when their flags were given, and
-    returns the payload keys to merge (``metrics`` and derived
-    ``rates``).  Empty when observability is off.
-    """
-    extras: dict[str, Any] = {}
-    if METRICS.enabled:
-        publish_memory_gauges(METRICS)
-        extras["metrics"] = METRICS.as_dict()
-    if counters is not None:
-        extras["rates"] = rates_from_counters(counters)
-    trace_path = getattr(args, "trace_jsonl", None)
-    if trace_path:
-        out = TRACER.write_jsonl(trace_path)
-        print(f"[obs] wrote trace {out}")
-    profile_out = getattr(args, "profile_out", None)
-    if profile_out and PROFILER.enabled:
-        out = PROFILER.write_collapsed(profile_out)
-        print(f"[obs] wrote collapsed-stack profile {out}")
-    return extras

@@ -56,10 +56,10 @@ import time
 from pathlib import Path
 from typing import Any, Optional
 
+from ..perf import rates_from_counters
 from . import heartbeat as hb
 from .events import EventLog
 from .ledger import comparable_history, read_entries
-from .metrics import rates_from_counters
 from .report import (
     MISPREDICT_FACTOR,
     STRAGGLER_FACTOR,

@@ -3,8 +3,8 @@
 Two instruments, both reporting through the existing obs surfaces:
 
 * **Stage profiler** (:data:`PROFILER`) — opt-in ``cProfile`` capture
-  per :class:`~repro.experiments.bench.StageTimer` stage.  Each
-  outermost stage block runs under its own profile; the accumulated
+  per stage span (every :data:`~repro.obs.trace.TRACER` span below a
+  root).  Each outermost stage span runs under its own profile; the accumulated
   stats export as *collapsed-stack* text (``stage;file:func count``
   lines, one sample unit per microsecond of tottime) that any
   flamegraph renderer ingests directly.  Enabled by ``--profile-out
@@ -12,14 +12,14 @@ Two instruments, both reporting through the existing obs surfaces:
   (one attribute check per stage, zero per inner call).
 
   ``cProfile`` cannot nest, so re-entrant/nested stages profile the
-  *outermost* block only — the same outermost-occurrence rule
-  ``StageTimer`` itself uses for its sums.
+  *outermost* block only — the same outermost-occurrence rule the
+  tracer's stage totals use.
 
 * **Memory gauges** (:func:`memory_report`) — the run's peak RSS via
   ``resource.getrusage`` (one syscall, always on, stamped into every
   ``BENCH_*.json`` under ``"memory"``) and the Python-heap peak via
-  ``tracemalloc`` (real overhead, so opt-in: ``--mem``).  When the
-  metrics registry is enabled the same numbers land as
+  ``tracemalloc`` (real overhead, so opt-in: ``--mem``).  Under
+  ``--obs`` the same numbers land as
   ``mem.max_rss_kb`` / ``mem.tracemalloc_peak_kb`` gauges, which merge
   across ``--jobs`` workers by max — a cross-process high-water mark.
 
@@ -84,7 +84,7 @@ def memory_report() -> dict[str, Any]:
 
 
 def publish_memory_gauges(metrics) -> None:
-    """Fold the current memory gauges into a metrics registry.
+    """Fold the current memory gauges into a counter registry's gauges.
 
     ``set_max`` keeps the worker-merge semantics: the published value
     is the high-water mark across every process that reported.
@@ -126,7 +126,7 @@ class StageProfiler:
                 profile.disable()
         finally:
             # A stage that raises still keeps its partial capture —
-            # the same contract as StageTimer's partial timings.
+            # the same contract as the tracer's partial timings.
             self._active -= 1
             existing = self._stats.get(name)
             if existing is None:
@@ -187,5 +187,5 @@ class StageProfiler:
 
 
 #: The process-wide stage profiler; disabled by default, hooked by
-#: :class:`~repro.experiments.bench.StageTimer`.
+#: :meth:`repro.obs.trace.Tracer.span`.
 PROFILER = StageProfiler()

@@ -1,34 +1,33 @@
-"""Hierarchical span tracing — *what happened when*, not just totals.
+"""Hierarchical span tracing — the pipeline's one stage recorder.
 
-The experiment pipeline used to answer "where did the time go?" with
-:class:`~repro.experiments.bench.StageTimer`'s flat per-stage sums.
-That hides the structure the perf work actually needs: one Table 2 run
-nests ``experiments → per-network evaluation → per-mode case loops →
-restoration → oracle/kernel calls``, and a regression in one leaf is
-invisible in a flat sum.  The tracer records that nesting as a tree of
-:class:`Span` objects and serializes it to JSONL for the
-``python -m repro.obs tree`` renderer.
+One Table 2 run nests ``table2 → table2.cases → ...``; the tracer
+records that nesting as a tree of :class:`Span` objects, serializes it
+to JSONL for the ``python -m repro.obs tree`` renderer, and folds it
+back into the flat per-stage sums every ``BENCH_*.json`` publishes
+(:meth:`Tracer.stages`).
 
 Design constraints, in order:
 
-* **Near-zero overhead when disabled.**  ``TRACER.span(...)`` on a
-  disabled tracer returns a shared no-op context manager — no ``Span``
-  allocation, no clock read, no string formatting.  Hot paths may
-  therefore call it unconditionally.
+* **Always on, stage-level only.**  Spans mark experiment stages, not
+  inner calls, so a run records tens of them and the tracer needs no
+  off switch.
 * **Exception-safe.**  A span raised through still records its end
   time and pops cleanly; partial timings are never lost.
-* **Flat compatibility.**  :meth:`Tracer.stage_totals` folds the tree
-  back into StageTimer-style per-name sums (outermost occurrence only,
-  so re-entrant spans are not double-counted), which is what
-  ``BENCH_*.json`` publishes.
+* **Flat view.**  :meth:`Tracer.stage_totals` folds the tree into
+  per-name sums (outermost occurrence only, so re-entrant spans are
+  not double-counted); :meth:`Tracer.stages` is the view under one
+  CLI's name prefix.
+* **Profiled stages.**  Every span below a root runs under
+  :data:`~repro.obs.profile.PROFILER` (``--profile-out``), which
+  captures the outermost one only.
 
->>> tracer = Tracer(enabled=True)
+>>> tracer = Tracer()
 >>> with tracer.span("outer"):
-...     with tracer.span("inner"):
+...     with tracer.span("outer.inner"):
 ...         pass
 >>> [root.name for root in tracer.roots]
 ['outer']
->>> [child.name for child in tracer.roots[0].children]
+>>> list(tracer.stages("outer"))
 ['inner']
 """
 
@@ -36,8 +35,11 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Optional, Union
+
+from .profile import PROFILER
 
 #: Versioned schema tag stamped on every serialized span record.
 SPAN_SCHEMA = "repro.obs.span/1"
@@ -72,73 +74,30 @@ class Span:
         return f"<Span {self.name!r} {self.duration * 1000:.3f}ms children={len(self.children)}>"
 
 
-class _NullSpanContext:
-    """The shared do-nothing context manager of a disabled tracer."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-
-#: Singleton returned by ``span()`` while disabled — identity-stable so
-#: tests can assert the disabled path allocates nothing.
-NULL_SPAN = _NullSpanContext()
-
-
-class _SpanContext:
-    """Context manager that opens/closes one span on its tracer's stack."""
-
-    __slots__ = ("_tracer", "_name", "_meta", "_span")
-
-    def __init__(self, tracer: "Tracer", name: str, meta: Optional[dict]) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._meta = meta
-        self._span: Optional[Span] = None
-
-    def __enter__(self) -> Span:
-        tracer = self._tracer
-        span = Span(self._name, time.perf_counter(), self._meta)
-        if tracer._stack:
-            tracer._stack[-1].children.append(span)
-        else:
-            tracer.roots.append(span)
-        tracer._stack.append(span)
-        self._span = span
-        return span
-
-    def __exit__(self, *exc: object) -> bool:
-        span = self._span
-        if span is not None:
-            span.end = time.perf_counter()
-            self._tracer._stack.pop()
-        return False
-
-
 class Tracer:
-    """A process-local span collector with an explicit on/off switch."""
+    """A process-local span collector."""
 
-    def __init__(self, enabled: bool = False) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.epoch = time.perf_counter()
         self.roots: list[Span] = []
         self._stack: list[Span] = []
 
-    def span(
-        self, name: str, **meta: Any
-    ) -> Union[_SpanContext, _NullSpanContext]:
-        """A context manager timing *name* nested under the current span.
-
-        Disabled tracers return the shared :data:`NULL_SPAN` — callers
-        never need their own ``if enabled`` guard.
-        """
-        if not self.enabled:
-            return NULL_SPAN
-        return _SpanContext(self, name, meta or None)
+    @contextmanager
+    def span(self, name: str, **meta: Any) -> Iterator[Span]:
+        """Time *name* nested under the current span; yields the span."""
+        span = Span(name, time.perf_counter(), meta or None)
+        parent = self._stack[-1] if self._stack else None
+        (parent.children if parent else self.roots).append(span)
+        self._stack.append(span)
+        try:
+            if parent is None:
+                yield span
+            else:
+                with PROFILER.record(name):
+                    yield span
+        finally:
+            span.end = time.perf_counter()
+            self._stack.pop()
 
     def reset(self) -> None:
         """Drop all recorded spans (test isolation / fresh run)."""
@@ -152,7 +111,7 @@ class Tracer:
             yield from root.walk()
 
     def stage_totals(self) -> dict[str, float]:
-        """Per-name wall-clock sums, StageTimer-compatible.
+        """Per-name wall-clock sums, in first-opened order.
 
         Only the *outermost* occurrence of each name contributes, so a
         re-entrant span (``a`` inside ``a``) is counted once, not twice.
@@ -170,6 +129,19 @@ class Tracer:
         for root in self.roots:
             fold(root, frozenset())
         return totals
+
+    def stages(self, prefix: str, digits: int = 4) -> dict[str, float]:
+        """The BENCH ``stages`` view: totals of the ``<prefix>.*`` spans.
+
+        Keys drop the prefix (``table2.cases`` -> ``cases``); values
+        are rounded to *digits*.
+        """
+        head = prefix + "."
+        return {
+            name[len(head):]: round(secs, digits)
+            for name, secs in self.stage_totals().items()
+            if name.startswith(head)
+        }
 
     # -- serialization ---------------------------------------------------------
 
@@ -234,5 +206,5 @@ def read_jsonl(source: Union[str, Path, Iterable[str]]) -> list[dict[str, Any]]:
     return records
 
 
-#: The process-wide tracer; disabled by default so library use is free.
+#: The process-wide tracer every experiment stage reports to.
 TRACER = Tracer()

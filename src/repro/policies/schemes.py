@@ -34,6 +34,7 @@ from ..exceptions import NoPath
 from ..failures.models import FailureScenario
 from ..graph.graph import Edge, Graph, Node, edge_key
 from ..graph.paths import Path
+from ..perf import COUNTERS, DEPTH_EDGES, STRETCH_EDGES
 from .base import RestorationOutcome, RestorationPolicy
 from .registry import POLICIES
 
@@ -99,7 +100,6 @@ class ConcatenationPolicy(RestorationPolicy):
         from ..core.cache import shared_spt_cache
         from ..core.decomposition import min_pieces_decompose
         from ..experiments.metrics import CaseResult
-        from ..obs.metrics import DEPTH_EDGES, METRICS, STRETCH_EDGES
 
         graph = self.graph
         primary_cost = case.primary_path.cost(graph)
@@ -108,8 +108,8 @@ class ConcatenationPolicy(RestorationPolicy):
                 case.source, case.destination, case.scenario
             )
         except NoPath:
-            if METRICS.enabled:
-                METRICS.counter("table2.unrestorable_cases").inc()
+            if COUNTERS.observing:
+                COUNTERS.counter("table2.unrestorable_cases").inc()
             return CaseResult(
                 source=case.source,
                 destination=case.destination,
@@ -122,12 +122,12 @@ class ConcatenationPolicy(RestorationPolicy):
             )
         decomposition = min_pieces_decompose(backup, self.base, allow_edges=True)
         backup_cost = backup.cost(graph)
-        if METRICS.enabled:
+        if COUNTERS.observing:
             if primary_cost:
-                METRICS.histogram("table2.path_stretch", STRETCH_EDGES).observe(
+                COUNTERS.histogram("table2.path_stretch", STRETCH_EDGES).observe(
                     backup_cost / primary_cost
                 )
-            METRICS.histogram("table2.pc_length", DEPTH_EDGES).observe(
+            COUNTERS.histogram("table2.pc_length", DEPTH_EDGES).observe(
                 decomposition.num_pieces
             )
         return CaseResult(

@@ -27,10 +27,10 @@ injection is recorded in a structured, versioned event log
 truth, byte-deterministic for a given seed and schedule, serializable
 with ``events.write_jsonl()`` and rendered by
 ``python -m repro.obs timeline``.  The legacy :attr:`timeline`
-property derives the old ``TimelineEntry`` view from it.  When the
-metrics registry (:data:`repro.obs.METRICS`) is enabled, the
-simulation also feeds it restoration-latency and flood-convergence
-measurements.
+property derives the old ``TimelineEntry`` view from it.  While
+:data:`repro.perf.COUNTERS` records named metrics (``observing``, set
+by ``--obs``), the simulation also feeds it restoration-latency and
+flood-convergence measurements.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from ..graph.graph import Edge, Node, edge_key
 from ..graph.paths import Path
 from ..mpls.network import ForwardingResult, MplsNetwork
 from ..obs.events import EventLog
-from ..obs.metrics import DEPTH_EDGES, METRICS
+from ..perf import COUNTERS, DEPTH_EDGES
 from ..routing.flooding import FloodingModel
 from ..routing.lsdb import LinkStateAd, LinkStateDatabase
 from ..routing.spf import SpfRouter
@@ -214,8 +214,8 @@ class RestorationSimulation:
             walk=result.walk,
             hops=result.hops,
         )
-        if METRICS.enabled:
-            METRICS.counter(f"sim.delivery.{result.status.name.lower()}").inc()
+        if COUNTERS.observing:
+            COUNTERS.counter(f"sim.delivery.{result.status.name.lower()}").inc()
         return result
 
     # -- internals: failure handling ---------------------------------------------------
@@ -286,10 +286,10 @@ class RestorationSimulation:
                 lsp_id=demand.lsp_id,
                 link=failed,
             )
-            if METRICS.enabled:
+            if COUNTERS.observing:
                 down_at = self._down_at.get(failed)
                 if down_at is not None:
-                    METRICS.histogram("sim.local_patch_latency_s").observe(
+                    COUNTERS.histogram("sim.local_patch_latency_s").observe(
                         self.queue.now - down_at
                     )
 
@@ -313,12 +313,12 @@ class RestorationSimulation:
         self._emit(
             router, "lsa-hop", link=link, up=ad.up, sequence=ad.sequence
         )
-        if METRICS.enabled and not ad.up:
+        if COUNTERS.observing and not ad.up:
             down_at = self._down_at.get(link)
             if down_at is not None:
                 latency = self.queue.now - down_at
-                METRICS.histogram("sim.flood_learn_latency_s").observe(latency)
-                METRICS.gauge("sim.flood_convergence_s").set_max(latency)
+                COUNTERS.histogram("sim.flood_learn_latency_s").observe(latency)
+                COUNTERS.gauge("sim.flood_convergence_s").set_max(latency)
         # Re-flood to all neighbors over surviving links.
         for neighbor in self.network.operational_view.neighbors(router):
             self.queue.schedule_in(
@@ -370,13 +370,13 @@ class RestorationSimulation:
                 destination=demand.destination,
                 pieces=pieces,
             )
-            if METRICS.enabled:
+            if COUNTERS.observing:
                 down_at = self._down_at.get(edge_key(ad.u, ad.v))
                 if down_at is not None:
-                    METRICS.histogram("sim.source_restore_latency_s").observe(
+                    COUNTERS.histogram("sim.source_restore_latency_s").observe(
                         self.queue.now - down_at
                     )
-                METRICS.histogram(
+                COUNTERS.histogram(
                     "sim.label_stack_depth", DEPTH_EDGES
                 ).observe(pieces)
             # The local patch is superseded; retire it.

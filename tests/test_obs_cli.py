@@ -149,7 +149,7 @@ class TestLegacyRootPathsDropped:
 
 class TestRenderers:
     def test_tree_renders_nested_spans(self, tmp_path, capsys):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         with tracer.span("table2", scale="tiny"):
             with tracer.span("table2.cases"):
                 pass

@@ -104,9 +104,9 @@ class TestReadMerge:
         }
 
 
-def _square_chunk(base: int, start: int, end: int) -> tuple[list, dict, dict]:
+def _square_chunk(base: int, start: int, end: int) -> list:
     """Toy picklable worker: squares plus *base* over ``[start, end)``."""
-    return [base + i * i for i in range(start, end)], {}, {}
+    return [base + i * i for i in range(start, end)]
 
 
 class TestWidthInvariance:

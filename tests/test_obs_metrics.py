@@ -1,14 +1,15 @@
-"""Tests for the metrics registry: instruments, deltas, worker fan-in."""
+"""Tests for the named metrics of the counter registry: instruments,
+deltas, worker fan-in."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.obs.metrics import (
+from repro.perf import (
     Counter,
     Gauge,
     Histogram,
-    MetricsRegistry,
+    PerfCounters,
     rates_from_counters,
 )
 
@@ -56,32 +57,40 @@ class TestInstruments:
 
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
-        reg = MetricsRegistry()
+        reg = PerfCounters()
         assert reg.counter("a") is reg.counter("a")
         assert reg.gauge("g") is reg.gauge("g")
         assert reg.histogram("h", (1.0,)) is reg.histogram("h")
 
     def test_as_dict_is_sorted(self):
-        reg = MetricsRegistry()
+        reg = PerfCounters()
         reg.counter("zeta").inc()
         reg.counter("alpha").inc()
-        assert list(reg.as_dict()["counters"]) == ["alpha", "zeta"]
+        assert list(reg.metrics()["counters"]) == ["alpha", "zeta"]
+        # Named counters stay out of the work-counter dict.
+        assert "alpha" not in reg.as_dict()
 
     def test_reset(self):
-        reg = MetricsRegistry()
+        reg = PerfCounters()
         reg.counter("a").inc()
+        reg.probe_calls = 5
         reg.reset()
-        assert reg.as_dict() == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert reg.metrics() == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert reg.probe_calls == 5  # work counters only grow
 
     def test_delta_subtracts_counters_and_histograms(self):
-        reg = MetricsRegistry()
+        reg = PerfCounters()
         reg.counter("c").inc(3)
+        reg.probe_calls = 10
         reg.histogram("h", (1.0, 2.0)).observe(0.5)
         before = reg.snapshot()
         reg.counter("c").inc(2)
+        reg.probe_calls += 4
         reg.histogram("h").observe(1.5)
         reg.gauge("g").set_max(7.0)
-        delta = reg.delta(before)
+        d = reg.delta(before)
+        assert d.probe_calls == 4
+        delta = d.metrics()
         assert delta["counters"]["c"] == 2
         assert delta["histograms"]["h"]["counts"] == [0, 1, 0]
         assert delta["histograms"]["h"]["count"] == 1
@@ -92,19 +101,21 @@ class TestRegistry:
         # Two "workers" observe disjoint slices; the parent merge must
         # equal one process having observed everything.
         def worker(values):
-            reg = MetricsRegistry(enabled=True)
+            reg = PerfCounters()
             before = reg.snapshot()
             for v in values:
                 reg.counter("cases").inc()
                 reg.histogram("lat", (1.0, 2.0)).observe(v)
                 reg.gauge("conv").set_max(v)
+                reg.csr_settled += 1
             return reg.delta(before)
 
-        parent = MetricsRegistry(enabled=True)
+        parent = PerfCounters()
         parent.merge(worker([0.5, 1.5]))
         parent.merge(worker([2.5]))
-        parent.merge(None)  # workers may ship nothing
-        merged = parent.as_dict()
+        parent.merge(PerfCounters())  # workers may ship nothing
+        assert parent.csr_settled == 3
+        merged = parent.metrics()
         assert merged["counters"]["cases"] == 3
         assert merged["histograms"]["lat"]["counts"] == [1, 1, 1]
         assert merged["histograms"]["lat"]["count"] == 3
@@ -116,26 +127,26 @@ class TestRegistry:
     def test_merge_is_order_independent(self):
         deltas = []
         for values in ([0.5], [1.5, 2.5], [0.1]):
-            reg = MetricsRegistry()
+            reg = PerfCounters()
             for v in values:
                 reg.counter("n").inc()
                 reg.histogram("h", (1.0,)).observe(v)
-            deltas.append(reg.as_dict())
-        a = MetricsRegistry()
-        b = MetricsRegistry()
+            deltas.append(reg.snapshot())
+        a = PerfCounters()
+        b = PerfCounters()
         for d in deltas:
             a.merge(d)
         for d in reversed(deltas):
             b.merge(d)
-        assert a.as_dict() == b.as_dict()
+        assert a.metrics() == b.metrics()
 
     def test_merge_rejects_edge_mismatch(self):
-        reg = MetricsRegistry()
+        reg = PerfCounters()
         reg.histogram("h", (1.0, 2.0)).observe(0.5)
-        other = MetricsRegistry()
+        other = PerfCounters()
         other.histogram("h", (5.0,)).observe(0.5)
         with pytest.raises(ValueError, match="edge mismatch"):
-            reg.merge(other.as_dict())
+            reg.merge(other)
 
 
 class TestRates:

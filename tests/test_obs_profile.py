@@ -5,7 +5,6 @@ from __future__ import annotations
 import re
 import tracemalloc
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (
     StageProfiler,
     max_rss_kb,
@@ -14,6 +13,7 @@ from repro.obs.profile import (
     start_memory_tracking,
     stop_memory_tracking,
 )
+from repro.perf import PerfCounters
 
 
 def _busy(n: int = 2000) -> int:
@@ -64,9 +64,9 @@ class TestMemoryReport:
 class TestPublishGauges:
     def test_rss_gauge_always_tracemalloc_only_when_tracing(self):
         stop_memory_tracking()
-        metrics = MetricsRegistry(enabled=True)
+        metrics = PerfCounters()
         publish_memory_gauges(metrics)
-        gauges = metrics.as_dict()["gauges"]
+        gauges = metrics.metrics()["gauges"]
         assert gauges["mem.max_rss_kb"] > 0
         assert "mem.tracemalloc_peak_kb" not in gauges
 
@@ -74,9 +74,9 @@ class TestPublishGauges:
         stop_memory_tracking()
         start_memory_tracking()
         try:
-            metrics = MetricsRegistry(enabled=True)
+            metrics = PerfCounters()
             publish_memory_gauges(metrics)
-            assert "mem.tracemalloc_peak_kb" in metrics.as_dict()["gauges"]
+            assert "mem.tracemalloc_peak_kb" in metrics.metrics()["gauges"]
         finally:
             stop_memory_tracking()
 
@@ -152,16 +152,17 @@ class TestStageProfiler:
 
 class TestStageTimerIntegration:
     def test_stage_timer_feeds_profiler(self):
-        from repro.experiments.bench import StageTimer
+        """Stage spans (below a root) run under the profiler; roots don't."""
         from repro.obs.profile import PROFILER
         from repro.obs.trace import Tracer
 
         PROFILER.reset()
         PROFILER.enabled = True
         try:
-            timer = StageTimer(tracer=Tracer(enabled=False), prefix="t")
-            with timer.stage("work"):
-                _busy()
+            tracer = Tracer()
+            with tracer.span("t"):
+                with tracer.span("t.work"):
+                    _busy()
             assert PROFILER.stage_names() == ["t.work"]
         finally:
             PROFILER.enabled = False

@@ -1,4 +1,4 @@
-"""Tests for the span tracer and the StageTimer edge-case contract."""
+"""Tests for the span tracer and the edge-case contract of its stage view."""
 
 from __future__ import annotations
 
@@ -6,8 +6,7 @@ import json
 
 import pytest
 
-from repro.experiments.bench import StageTimer
-from repro.obs.trace import NULL_SPAN, SPAN_SCHEMA, Tracer, read_jsonl
+from repro.obs.trace import SPAN_SCHEMA, Tracer, read_jsonl
 
 
 class FakeClock:
@@ -31,16 +30,8 @@ def clock(monkeypatch):
 
 
 class TestTracer:
-    def test_disabled_span_is_the_shared_null_singleton(self):
-        tracer = Tracer(enabled=False)
-        assert tracer.span("anything") is NULL_SPAN
-        assert tracer.span("other", key="value") is NULL_SPAN
-        with tracer.span("ignored"):
-            pass
-        assert tracer.roots == []
-
     def test_enabled_spans_nest_into_a_tree(self):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         with tracer.span("outer"):
             with tracer.span("inner-1"):
                 pass
@@ -56,13 +47,13 @@ class TestTracer:
         ]
 
     def test_span_records_meta(self):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         with tracer.span("run", scale="tiny", seed=1) as span:
             pass
         assert span.meta == {"scale": "tiny", "seed": 1}
 
     def test_exception_still_closes_and_pops(self):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         with pytest.raises(ValueError):
             with tracer.span("boom"):
                 with tracer.span("child"):
@@ -74,7 +65,7 @@ class TestTracer:
         assert [r.name for r in tracer.roots] == ["boom", "after"]
 
     def test_stage_totals_accumulate_and_ignore_reentrancy(self, clock):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         with tracer.span("a"):
             clock.advance(1.0)
             with tracer.span("a"):  # re-entrant: must not double-count
@@ -89,14 +80,14 @@ class TestTracer:
         assert totals["b"] == pytest.approx(0.25)
 
     def test_reset_drops_spans(self):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         with tracer.span("x"):
             pass
         tracer.reset()
         assert tracer.roots == [] and list(tracer.iter_spans()) == []
 
     def test_records_link_the_tree(self, clock):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         with tracer.span("root", scale="tiny"):
             clock.advance(1.0)
             with tracer.span("child"):
@@ -111,7 +102,7 @@ class TestTracer:
         assert root["meta"] == {"scale": "tiny"}
 
     def test_jsonl_round_trip(self, tmp_path):
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         with tracer.span("root", seed=7):
             with tracer.span("leaf"):
                 pass
@@ -126,64 +117,64 @@ class TestTracer:
 
 
 class TestStageTimer:
+    """The tracer as the stage timer: :meth:`Tracer.stages`."""
+
     def test_repeated_stages_accumulate(self, clock):
-        timer = StageTimer()
-        with timer.stage("s"):
+        tracer = Tracer()
+        with tracer.span("t.s"):
             clock.advance(1.0)
-        with timer.stage("s"):
+        with tracer.span("t.s"):
             clock.advance(2.0)
-        assert timer.stages["s"] == pytest.approx(3.0)
+        assert tracer.stages("t")["s"] == pytest.approx(3.0)
 
     def test_reentrant_stage_counts_outermost_only(self, clock):
-        timer = StageTimer()
-        with timer.stage("a"):
+        tracer = Tracer()
+        with tracer.span("t.a"):
             clock.advance(1.0)
-            with timer.stage("a"):
+            with tracer.span("t.a"):
                 clock.advance(2.0)
             clock.advance(1.0)
-        assert timer.stages["a"] == pytest.approx(4.0)  # not 6.0
+        assert tracer.stages("t")["a"] == pytest.approx(4.0)  # not 6.0
 
     def test_raising_stage_keeps_partial_timing(self, clock):
-        timer = StageTimer()
+        tracer = Tracer()
         with pytest.raises(RuntimeError):
-            with timer.stage("x"):
+            with tracer.span("t.x"):
                 clock.advance(3.0)
                 raise RuntimeError("boom")
-        assert timer.stages["x"] == pytest.approx(3.0)
-        # And the timer still works afterwards.
-        with timer.stage("x"):
+        assert tracer.stages("t")["x"] == pytest.approx(3.0)
+        # And the tracer still works afterwards.
+        with tracer.span("t.x"):
             clock.advance(1.0)
-        assert timer.stages["x"] == pytest.approx(4.0)
+        assert tracer.stages("t")["x"] == pytest.approx(4.0)
 
     def test_raising_reentrant_stage_accumulates_once(self, clock):
-        timer = StageTimer()
+        tracer = Tracer()
         with pytest.raises(RuntimeError):
-            with timer.stage("a"):
+            with tracer.span("t.a"):
                 clock.advance(1.0)
-                with timer.stage("a"):
+                with tracer.span("t.a"):
                     clock.advance(2.0)
                     raise RuntimeError("boom")
-        assert timer.stages["a"] == pytest.approx(3.0)
+        assert tracer.stages("t")["a"] == pytest.approx(3.0)
 
     def test_stages_feed_prefixed_spans(self):
-        tracer = Tracer(enabled=True)
-        timer = StageTimer(tracer=tracer, prefix="table2")
-        with timer.stage("cases"):
-            pass
-        assert [s.name for s in tracer.iter_spans()] == ["table2.cases"]
-        assert "cases" in timer.stages  # flat keys stay unprefixed
-
-    def test_disabled_tracer_costs_no_spans(self):
-        tracer = Tracer(enabled=False)
-        timer = StageTimer(tracer=tracer)
-        with timer.stage("cases"):
-            pass
-        assert tracer.roots == []
-        assert "cases" in timer.stages  # flat timing still recorded
+        tracer = Tracer()
+        with tracer.span("table2"):
+            with tracer.span("table2.cases"):
+                pass
+            with tracer.span("runner.table2"):
+                pass
+        assert [s.name for s in tracer.iter_spans()] == [
+            "table2", "table2.cases", "runner.table2",
+        ]
+        # Flat keys drop the prefix; the root and other prefixes stay out.
+        assert list(tracer.stages("table2")) == ["cases"]
+        assert list(tracer.stages("runner")) == ["table2"]
 
     def test_as_dict_rounds(self, clock):
-        timer = StageTimer()
-        with timer.stage("s"):
+        tracer = Tracer()
+        with tracer.span("t.s"):
             clock.advance(1.23456789)
-        assert timer.as_dict() == {"s": 1.2346}
-        assert timer.as_dict(digits=2) == {"s": 1.23}
+        assert tracer.stages("t") == {"s": 1.2346}
+        assert tracer.stages("t", digits=2) == {"s": 1.23}
